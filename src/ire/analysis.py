@@ -121,8 +121,9 @@ def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -
     least-squares line fit per direction.
 
     Key generation and file I/O stay outside the timed region, and one
-    warm-up round per size keeps one-off cache work (the per-length
-    window index maps) out of the medians. Runs single-threaded.
+    warm-up round per size keeps one-off work (the keyset's window shift
+    plans, first page faults on fresh buffers) out of the medians. Runs
+    single-threaded.
     """
     from .keystream import choose_offset
     from .ops import decrypt, encrypt  # imported here: ops -> keymat -> keystream -> this module

@@ -261,10 +261,14 @@ def _selftest_checks() -> list[tuple[str, bool]]:
                                     rule=rng.choice(keymat.RULES))
         message = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 300)))
         offset = keystream.choose_offset(rng, ks.rbs.length)
-        envelope = envelope_mod.decode_envelope(
-            envelope_mod.encode_envelope(ops.encrypt(message, ks, offset)))
-        if ops.decrypt(envelope, ks) != message:
+        try:
+            envelope = envelope_mod.decode_envelope(
+                envelope_mod.encode_envelope(ops.encrypt(message, ks, offset)))
+            sweep_ok = ops.decrypt(envelope, ks) == message
+        except IreError:
+            # a broken stage can garble the padding so that decrypt refuses it
             sweep_ok = False
+        if not sweep_ok:
             break
     checks.append(("random round-trip sweep", sweep_ok))
     return checks

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +71,19 @@ class RbsLoop:
         pieces.append(self._bits[:tail])
         return np.concatenate(pieces)
 
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The loop as read-only MSB-first packed bytes, pad bits zero.
+
+        Built on first use and kept: an eighth of the size of bits.
+        """
+        packed = np.packbits(self._bits)
+        packed.setflags(write=False)
+        return packed
+
     def to_packed(self) -> bytes:
         """MSB-first packed bytes; pad bits in the last byte are zero."""
-        return np.packbits(self._bits).tobytes()
+        return self.packed.tobytes()
 
     @classmethod
     def from_packed(cls, data: bytes, bit_length: int) -> "RbsLoop":

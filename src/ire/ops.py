@@ -3,7 +3,9 @@
 Six stages, each with an exact inverse: pad, substitute, sliding
 byte-window permutation, sliding bit-window permutation, keystream
 combine. encrypt composes them in that order; decrypt applies the
-inverses in reverse order.
+inverses in reverse order. Both run the bit window and the combine as
+one pass over packed bytes (_bit_stage); the public stage functions
+compute the same stages one at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sliding
-from .bits import bits_to_bytes, bytes_to_bits
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, RuleMismatchError
 from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
@@ -93,34 +94,40 @@ def unsubstitute(data: bytes, table: SubstitutionTable) -> bytes:
     return data.translate(table.inverse)
 
 
+def _check_length(size: int, perm: WindowPermutation, unit: str) -> None:
+    if size < perm.width:
+        raise ValueError(f"need at least {perm.width} {unit}, got {size}")
+
+
 def sliding_byte_permute(data: bytes, perm: WindowPermutation) -> bytes:
     """Apply perm to every width-wide byte window, left to right."""
-    if len(data) < perm.width:
-        raise ValueError(f"need at least {perm.width} bytes, got {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return sliding.apply_forward(arr, perm.map).tobytes()
+    _check_length(len(data), perm, "bytes")
+    return sliding.apply_forward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
 
 
 def sliding_byte_unpermute(data: bytes, perm: WindowPermutation) -> bytes:
     """Exact inverse of sliding_byte_permute for the same perm."""
-    if len(data) < perm.width:
-        raise ValueError(f"need at least {perm.width} bytes, got {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return sliding.apply_backward(arr, perm.map).tobytes()
+    _check_length(len(data), perm, "bytes")
+    return sliding.apply_backward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
 
 
 def sliding_bit_permute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Apply perm to every width-wide bit window, left to right."""
-    if bits.size < perm.width:
-        raise ValueError(f"need at least {perm.width} bits, got {bits.size}")
-    return sliding.apply_forward(np.ascontiguousarray(bits, dtype=np.uint8), perm.map)
+    _check_length(bits.size, perm, "bits")
+    return sliding.apply_forward(np.asarray(bits, dtype=np.uint8), perm.map)
 
 
 def sliding_bit_unpermute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Exact inverse of sliding_bit_permute for the same perm."""
-    if bits.size < perm.width:
-        raise ValueError(f"need at least {perm.width} bits, got {bits.size}")
-    return sliding.apply_backward(np.ascontiguousarray(bits, dtype=np.uint8), perm.map)
+    _check_length(bits.size, perm, "bits")
+    return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.map)
+
+
+def _check_combine(rbs: RbsLoop, offset: int, rule: str) -> None:
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}")
+    if not 0 <= offset < rbs.length:
+        raise ValueError(f"offset {offset} outside [0, {rbs.length})")
 
 
 def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) -> np.ndarray:
@@ -129,17 +136,87 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     Rule B gives 1 where the bits differ (plain xor); rule A gives 1
     where they are equal, the bitwise complement of rule B. Either rule
     is its own inverse for a fixed (rbs, offset, rule), which is exactly
-    how decryption undoes this stage.
+    how decryption undoes this stage. bits is left untouched; the copy
+    is xored in place against slices of the loop, one per lap at most.
     """
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}")
-    if not 0 <= offset < rbs.length:
-        raise ValueError(f"offset {offset} outside [0, {rbs.length})")
-    buf = np.ascontiguousarray(bits, dtype=np.uint8)
-    mixed = np.bitwise_xor(buf, rbs.fragment(offset, int(buf.size)))
+    _check_combine(rbs, offset, rule)
+    out = np.array(bits, dtype=np.uint8)
+    loop = rbs.bits
+    head = min(rbs.length - offset, out.size)
+    first = out[:head]
+    first ^= loop[offset:offset + head]
+    laps, tail = divmod(out.size - head, rbs.length)
+    if laps:
+        whole = out[head:head + laps * rbs.length].reshape(laps, rbs.length)
+        whole ^= loop
+    if tail:
+        last = out[out.size - tail:]
+        last ^= loop[:tail]
     if rule == RULE_A:
-        mixed = np.bitwise_xor(mixed, 1)
-    return mixed
+        out ^= 1
+    return out
+
+
+# Bytes handled at once by the bit stage of encrypt and decrypt: small
+# enough that a block and its temporaries stay in cache, large enough
+# that the per-block numpy calls cost little.
+_BLOCK_BYTES = 1 << 15
+
+
+def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Fill out[k] with the 8 bits of packed src that start at bit + 8k."""
+    q, r = divmod(bit, 8)
+    if r == 0:
+        out[:] = src[q:q + out.size]
+        return
+    # a uint8 multiply is the left shift numpy vectorizes; it wraps like one
+    np.multiply(src[q:q + out.size], 1 << r, out=out)
+    out |= src[q + 1:q + out.size + 1] >> (8 - r)
+
+
+def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
+               rbs: RbsLoop, offset: int, rule: str, forward: bool) -> None:
+    """Bit window and keystream combine of packed bytes, written to out.
+
+    Forward (encrypt) permutes, then combines; backward (decrypt)
+    combines, then unpermutes. Either way output bit j is input bit
+    j + shift combined with key bit offset + j + (0 or shift), except at
+    the plan's fixups, so the whole stage is two realigning reads of
+    packed bytes and an xor per block. Only a block whose key bits wrap
+    past the end of the loop takes them from the unpacked loop, and
+    nothing is gathered but the fixups.
+    """
+    _check_combine(rbs, offset, rule)
+    src, dst = plan.fixups(8 * data.size)
+    shift = plan.slack if forward else -plan.slack
+    lead = -(-plan.slack // 8)
+    # slack on both sides of the input, and a byte for the last realigned read
+    padded = np.zeros(data.size + 2 * lead + 1, dtype=np.uint8)
+    padded[lead:lead + data.size] = data
+    key_at = offset if forward else offset + shift
+    key = np.empty(min(_BLOCK_BYTES, data.size), dtype=np.uint8)
+    for k0 in range(0, data.size, _BLOCK_BYTES):
+        block = out[k0:k0 + _BLOCK_BYTES]
+        _read_bits(padded, 8 * (lead + k0) + shift, block)
+        start = (key_at + 8 * k0) % rbs.length
+        if start + 8 * block.size <= rbs.length:
+            _read_bits(rbs.packed, start, key[:block.size])
+        else:
+            key[:block.size] = np.packbits(rbs.fragment(start, 8 * block.size))
+        block ^= key[:block.size]
+        if rule == RULE_A:
+            block ^= 0xFF
+    # Off the shift: output bit `to` takes input bit `source`, combined
+    # with the key bit the message position dst meets in both directions.
+    to, source = (dst, src) if forward else (src, dst)
+    source = source + 8 * lead
+    values = (padded[source >> 3] >> (7 - (source & 7)).astype(np.uint8)) & 1
+    values ^= rbs.bits[(offset + dst) % rbs.length]
+    if rule == RULE_A:
+        values ^= 1
+    bit = (7 - (to & 7)).astype(np.uint8)
+    np.bitwise_and.at(out, to >> 3, ~(np.uint8(1) << bit))
+    np.bitwise_or.at(out, to >> 3, values << bit)
 
 
 def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
@@ -147,17 +224,22 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
 
     Deterministic for a fixed (message, keyset, offset). Callers wanting
     distinct ciphertexts per send must draw a fresh offset each time.
+    The window stages run on buffers owned here.
     """
     padded = pad(message)
-    substituted = substitute(padded.data, keyset.sub)
-    scrambled = sliding_byte_permute(substituted, keyset.byte_perm)
-    bit_state = sliding_bit_permute(bytes_to_bits(scrambled), keyset.bit_perm)
-    combined = keystream_combine(bit_state, keyset.rbs, offset, keyset.rule)
+    byte_plan = sliding.shift_plan(keyset.byte_perm.map)
+    n = len(padded.data)
+    buf = np.empty(n + byte_plan.slack, dtype=np.uint8)
+    buf[:n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
+    scrambled = sliding.permute_in_place(buf, byte_plan)
+    payload = np.empty(n, dtype=np.uint8)
+    _bit_stage(scrambled, payload, sliding.shift_plan(keyset.bit_perm.map),
+               keyset.rbs, offset, keyset.rule, forward=True)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
         start_offset=offset,
-        payload=bits_to_bytes(combined),
+        payload=payload.tobytes(),
     )
 
 
@@ -168,8 +250,11 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     if not 0 <= envelope.start_offset < keyset.rbs.length:
         raise ValueError(f"start offset {envelope.start_offset} outside the RBS loop")
-    bit_state = keystream_combine(
-        bytes_to_bits(envelope.payload), keyset.rbs, envelope.start_offset, keyset.rule)
-    unshuffled = sliding_bit_unpermute(bit_state, keyset.bit_perm)
-    descrambled = sliding_byte_unpermute(bits_to_bytes(unshuffled), keyset.byte_perm)
+    byte_plan = sliding.shift_plan(keyset.byte_perm.map)
+    n = len(envelope.payload)
+    buf = np.empty(byte_plan.slack + n, dtype=np.uint8)
+    _bit_stage(np.frombuffer(envelope.payload, dtype=np.uint8), buf[byte_plan.slack:],
+               sliding.shift_plan(keyset.bit_perm.map),
+               keyset.rbs, envelope.start_offset, keyset.rule, forward=False)
+    descrambled = sliding.unpermute_in_place(buf, byte_plan).tobytes()
     return unpad(PaddedMessage(unsubstitute(descrambled, keyset.sub), envelope.pad_count))

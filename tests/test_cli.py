@@ -1,7 +1,9 @@
 import os
+import random
 
 import pytest
 
+import ire.cli
 import ire.ops
 from ire.cli import main
 from ire.envelope import HEADER_LEN
@@ -202,6 +204,27 @@ def test_selftest_catches_broken_permute(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "FAIL ten-byte window reorder" in out
+
+
+def test_selftest_reports_sweep_that_raises(capsys, monkeypatch):
+    # Seed 83 makes the sweep's first message one byte long. Encrypting
+    # without substitution garbles its padding on decrypt, which raises
+    # CorruptionError; the sweep must report that, not abort the command.
+    monkeypatch.setattr(ire.cli, "system_rng", lambda: random.Random(83))
+    monkeypatch.setattr(ire.ops, "substitute", lambda data, table: bytes(data))
+    lengths = []
+    real_encrypt = ire.ops.encrypt
+
+    def recording_encrypt(message, keyset, offset):
+        lengths.append(len(message))
+        return real_encrypt(message, keyset, offset)
+
+    monkeypatch.setattr(ire.ops, "encrypt", recording_encrypt)
+    code, out, _ = run(capsys, "selftest")
+    assert lengths == [1]
+    assert code == 1
+    assert "FAIL random round-trip sweep" in out
+    assert "9/10 checks passed" in out
 
 
 # --- bench ----------------------------------------------------------------------

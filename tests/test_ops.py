@@ -184,3 +184,40 @@ def test_combine_validation():
         keystream_combine(bits, loop, -1, RULE_B)
     with pytest.raises(ValueError):
         keystream_combine(bits, loop, 0, "X")
+
+
+def test_combine_spans_loop_more_than_twice():
+    import random
+
+    rng = random.Random(59)
+    loop_bits = [rng.randrange(2) for _ in range(97)]
+    loop = RbsLoop(np.array(loop_bits, dtype=np.uint8))
+    bits = [rng.randrange(2) for _ in range(97 * 5 + 13)]
+    for offset in (0, 1, 50, 96):
+        for rule in (RULE_A, RULE_B):
+            flip = 1 if rule == RULE_A else 0
+            expected = [b ^ loop_bits[(offset + i) % 97] ^ flip for i, b in enumerate(bits)]
+            got = keystream_combine(np.array(bits, dtype=np.uint8), loop, offset, rule)
+            assert got.tolist() == expected
+
+
+# --- the public stages leave their input alone ------------------------------
+
+def test_public_stages_do_not_mutate_input(fixed_rng):
+    byte_perm = WindowPermutation(10, tuple(fixed_rng.sample(range(10), 10)))
+    bit_perm = WindowPermutation(80, tuple(fixed_rng.sample(range(80), 80)))
+    data = bytearray(fixed_rng.randrange(256) for _ in range(300))
+    bits = np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
+    loop = RbsLoop(np.array([fixed_rng.randrange(2) for _ in range(500)], dtype=np.uint8))
+    for stage in (sliding_byte_permute, sliding_byte_unpermute):
+        before = bytes(data)
+        stage(data, byte_perm)
+        assert bytes(data) == before, stage.__name__
+    for stage in (sliding_bit_permute, sliding_bit_unpermute):
+        before = bits.copy()
+        stage(bits, bit_perm)
+        assert np.array_equal(bits, before), stage.__name__
+    for rule in (RULE_A, RULE_B):
+        before = bits.copy()
+        keystream_combine(bits, loop, 123, rule)
+        assert np.array_equal(bits, before)

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ire import ops
+from ire.bits import bits_to_bytes, bytes_to_bits
 from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
 from ire.errors import CorruptionError, RuleMismatchError
 from ire.keymat import (
@@ -63,6 +67,31 @@ def test_matches_reference_pipeline():
 
 
 # --- round trips ------------------------------------------------------------
+
+def _composed_payload(message, keyset, offset):
+    padded = ops.pad(message)
+    data = ops.sliding_byte_permute(ops.substitute(padded.data, keyset.sub), keyset.byte_perm)
+    bits = ops.sliding_bit_permute(bytes_to_bits(data), keyset.bit_perm)
+    return bits_to_bytes(ops.keystream_combine(bits, keyset.rbs, offset, keyset.rule))
+
+
+@pytest.mark.parametrize("rbs_bits", [97, 4096, 300_007])
+def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
+    # encrypt and decrypt fuse the bit window with the combine and work
+    # through packed bytes a block at a time; lengths around the block
+    # size, and loops shorter than a block, must give what the separate
+    # public stages give
+    rng = random.Random(71 + rbs_bits)
+    block_bytes = ops._BLOCK_BYTES
+    for rule in (RULE_A, RULE_B):
+        keyset = generate_keyset(rng, rbs_bits=rbs_bits, rule=rule)
+        for n in (10, 11, block_bytes - 1, block_bytes, block_bytes + 1, 2 * block_bytes + 77):
+            message = rng.randbytes(n)
+            offset = rng.randrange(rbs_bits)
+            env = encrypt(message, keyset, offset)
+            assert env.payload == _composed_payload(message, keyset, offset), (rule, n)
+            assert decrypt(env, keyset) == message
+
 
 def test_round_trip_across_lengths(small_keyset):
     rng = random.Random(31337)
@@ -148,3 +177,24 @@ def test_ciphertext_size_law(small_keyset):
         env = encrypt(bytes(n), small_keyset, 0)
         assert len(env.payload) == max(n, 10)
         assert len(encode_envelope(env)) == HEADER_LEN + max(n, 10)
+
+
+# --- memory ------------------------------------------------------------------
+
+def test_memory_held_does_not_grow_with_distinct_lengths():
+    keyset = generate_keyset(random.Random(61), rbs_bits=4096)
+    rng = random.Random(67)
+    lengths = rng.sample(range(1024, (256 << 10) + 1), 39) + [256 << 10]
+    decrypt(encrypt(b"warm-up message", keyset, 0), keyset)  # per-key state, built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for length in lengths:
+            message = rng.randbytes(length)
+            assert decrypt(encrypt(message, keyset, rng.randrange(4096)), keyset) == message
+        del message
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, f"{held} bytes still held after {len(lengths)} lengths"

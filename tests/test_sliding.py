@@ -13,6 +13,7 @@ from ire.sliding import (
     invert_map,
     naive_sliding_permute,
     naive_sliding_unpermute,
+    shift_plan,
 )
 
 KNOWN_MAP = (7, 2, 6, 3, 0, 9, 1, 8, 5, 4)
@@ -154,3 +155,85 @@ def test_round_trip_property(perm, values):
     forward = apply_forward(arr, pmap)
     assert apply_backward(forward, pmap).tolist() == values
     assert forward.tolist() == naive_sliding_permute(values, pmap)
+
+
+# --- shift kernel edges, widths 10 and 80 -----------------------------------
+
+def _structured_maps(width):
+    return {
+        "identity": tuple(range(width)),
+        "reversal": tuple(reversed(range(width))),
+        "rotate left": tuple((i + 1) % width for i in range(width)),
+        "rotate right": tuple((i - 1) % width for i in range(width)),
+    }
+
+
+def _assert_matches_naive(pmap, n, rng):
+    values = [rng.randrange(1 << 16) for _ in range(n)]
+    arr = np.array(values, dtype=np.int64)
+    assert apply_forward(arr, pmap).tolist() == naive_sliding_permute(values, pmap), (pmap, n)
+    assert apply_backward(arr, pmap).tolist() == naive_sliding_unpermute(values, pmap), (pmap, n)
+
+
+@pytest.mark.parametrize("width", [10, 80])
+def test_kernel_short_buffers_cut_head_walks(width):
+    # n in [W, 3W]: the final window cuts first-window walks short, and
+    # the interior is empty or a few values wide
+    rng = random.Random(41 + width)
+    maps = list(_structured_maps(width).values())
+    maps += [tuple(rng.sample(range(width), width)) for _ in range(3)]
+    for pmap in maps:
+        for n in range(width, 3 * width + 1):
+            _assert_matches_naive(pmap, n, rng)
+
+
+@pytest.mark.parametrize("width", [10, 80])
+def test_kernel_identity_map_has_no_shift(width):
+    identity = tuple(range(width))
+    assert shift_plan(identity).slack == 0
+    arr = np.arange(5 * width)
+    assert apply_forward(arr, identity).tolist() == arr.tolist()
+    assert apply_backward(arr, identity).tolist() == arr.tolist()
+
+
+@pytest.mark.parametrize("width", [10, 80])
+def test_kernel_structured_maps_long_buffers(width):
+    rng = random.Random(43)
+    for pmap in _structured_maps(width).values():
+        for n in (7 * width + 3, 20 * width):
+            _assert_matches_naive(pmap, n, rng)
+
+
+def _has_cycling_head_walk(pmap):
+    g = invert_map(pmap)
+    for start in range(len(pmap) - 1):
+        seen, r = set(), start
+        while g[r] != 0 and r not in seen:
+            seen.add(r)
+            r = g[r] - 1
+        if g[r] != 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("width", [10, 80])
+def test_kernel_cycling_head_walks_wrap_many_times(width):
+    # rotating left sends even offsets round a cycle of W/2 offsets that
+    # never retires, so at n near 2^14 those walks wrap hundreds of times
+    rng = random.Random(47)
+    rotation = _structured_maps(width)["rotate left"]
+    assert _has_cycling_head_walk(rotation)
+    random_map = next(m for m in (tuple(rng.sample(range(width), width)) for _ in range(1000))
+                      if _has_cycling_head_walk(m))
+    for pmap in (rotation, random_map):
+        _assert_matches_naive(pmap, (1 << 14) + 5, rng)
+
+
+def test_global_index_map_matches_naive_positions():
+    rng = random.Random(53)
+    for width in (10, 80):
+        pmap = tuple(rng.sample(range(width), width))
+        n = 4 * width + 1
+        out = naive_sliding_permute(list(range(n)), pmap)
+        sigma = global_index_map(pmap, n)
+        assert [out[s] for s in sigma.tolist()] == list(range(n))
