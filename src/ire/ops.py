@@ -160,7 +160,7 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
 # Bytes handled at once by the bit stage of encrypt and decrypt: small
 # enough that a block and its temporaries stay in cache, large enough
 # that the per-block numpy calls cost little.
-_BLOCK_BYTES = 1 << 15
+_BLOCK_BYTES = 1 << 17
 
 
 def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
@@ -174,6 +174,23 @@ def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
     out |= src[q + 1:q + out.size + 1] >> (8 - r)
 
 
+def _read_key(rbs: RbsLoop, start: int, out: np.ndarray) -> None:
+    """Fill out with the packed key bits from loop bit start on, wrapping."""
+    room = rbs.length - start
+    bits = 8 * out.size
+    if bits <= room:
+        _read_bits(rbs.packed, start, out)
+    elif bits - room > rbs.length:  # a loop shorter than the block: many laps
+        out[:] = np.packbits(rbs.fragment(start, bits))
+    else:
+        head, cut = divmod(room, 8)
+        _read_bits(rbs.packed, start, out[:head])
+        if cut:  # the byte that straddles the end of the loop
+            out[head] = np.packbits(rbs.fragment(start + 8 * head, 8))[0]
+            head += 1
+        _read_bits(rbs.packed, 8 * head - room, out[head:])
+
+
 def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
                rbs: RbsLoop, offset: int, rule: str, forward: bool) -> None:
     """Bit window and keystream combine of packed bytes, written to out.
@@ -182,9 +199,8 @@ def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
     combines, then unpermutes. Either way output bit j is input bit
     j + shift combined with key bit offset + j + (0 or shift), except at
     the plan's fixups, so the whole stage is two realigning reads of
-    packed bytes and an xor per block. Only a block whose key bits wrap
-    past the end of the loop takes them from the unpacked loop, and
-    nothing is gathered but the fixups.
+    packed bytes and an xor per block, and nothing is gathered but the
+    fixups.
     """
     _check_combine(rbs, offset, rule)
     src, dst = plan.fixups(8 * data.size)
@@ -198,11 +214,7 @@ def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
     for k0 in range(0, data.size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
         _read_bits(padded, 8 * (lead + k0) + shift, block)
-        start = (key_at + 8 * k0) % rbs.length
-        if start + 8 * block.size <= rbs.length:
-            _read_bits(rbs.packed, start, key[:block.size])
-        else:
-            key[:block.size] = np.packbits(rbs.fragment(start, 8 * block.size))
+        _read_key(rbs, (key_at + 8 * k0) % rbs.length, key[:block.size])
         block ^= key[:block.size]
         if rule == RULE_A:
             block ^= 0xFF

@@ -221,3 +221,24 @@ def test_public_stages_do_not_mutate_input(fixed_rng):
         before = bits.copy()
         keystream_combine(bits, loop, 123, rule)
         assert np.array_equal(bits, before)
+
+
+def test_packed_key_read_matches_fragment():
+    # the bit stage reads the key packed; across the end of the loop it
+    # splits the read at the straddling byte, or falls back to the
+    # unpacked fragment when the loop is shorter than the read
+    import random
+
+    from ire.ops import _read_key
+
+    rng = random.Random(61)
+    for length in (97, 1000, 4099):
+        loop = RbsLoop(np.array([rng.randrange(2) for _ in range(length)], dtype=np.uint8))
+        for nbytes in (1, 13, 124, 600):
+            for start in {0, 1, 7, 8, length - 8 * nbytes - 1, length - 9, length - 8, length - 5, length - 1}:
+                if not 0 <= start < length:
+                    continue
+                out = np.empty(nbytes, dtype=np.uint8)
+                _read_key(loop, start, out)
+                assert out.tobytes() == np.packbits(loop.fragment(start, 8 * nbytes)).tobytes(), \
+                    (length, nbytes, start)

@@ -75,7 +75,7 @@ def _composed_payload(message, keyset, offset):
     return bits_to_bytes(ops.keystream_combine(bits, keyset.rbs, offset, keyset.rule))
 
 
-@pytest.mark.parametrize("rbs_bits", [97, 4096, 300_007])
+@pytest.mark.parametrize("rbs_bits", [97, 4096, 300_007, 1_500_007])
 def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
     # encrypt and decrypt fuse the bit window with the combine and work
     # through packed bytes a block at a time; lengths around the block
