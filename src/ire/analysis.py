@@ -17,6 +17,7 @@ __all__ = [
     "MIN_TEST_BITS",
     "TestVerdict",
     "monobit_test",
+    "monobit_verdict",
     "runs_test",
     "LineFit",
     "BenchPoint",
@@ -54,10 +55,13 @@ def monobit_test(bits: np.ndarray) -> TestVerdict:
     statistic = |#ones - #zeros| / sqrt(n), p = erfc(statistic / sqrt(2)).
     Passes at significance ALPHA when p >= ALPHA.
     """
-    n = int(bits.size)
+    return monobit_verdict(int(np.count_nonzero(bits)), int(bits.size))
+
+
+def monobit_verdict(ones: int, n: int) -> TestVerdict:
+    """The frequency check of monobit_test, from the count of ones among n bits."""
     if n < MIN_TEST_BITS:
         raise ValueError(f"monobit test needs at least {MIN_TEST_BITS} bits, got {n}")
-    ones = int(np.count_nonzero(bits))
     statistic = abs(2 * ones - n) / math.sqrt(n)
     return _verdict(statistic, math.erfc(statistic / math.sqrt(2)))
 

@@ -23,3 +23,7 @@ class RuleMismatchError(IreError):
 
 class GenerationError(IreError):
     """Key-material generation failed its quality gate."""
+
+
+class OffsetError(IreError):
+    """An envelope's start offset lies outside the keyset's RBS loop."""

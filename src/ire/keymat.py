@@ -22,8 +22,6 @@ import random
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entropy import resolve_rng
 from .errors import KeyFormatError
 from .keystream import DEFAULT_RBS_BITS, RbsLoop, generate_rbs
@@ -197,7 +195,8 @@ def parse_keyset(data: bytes) -> KeySet:
     """Parse and validate an IREK v1 file.
 
     Total on arbitrary input: malformed bytes raise KeyFormatError,
-    nothing else, and nothing larger than the input is ever allocated.
+    nothing else, and nothing larger than the input is ever allocated:
+    the packed RBS is copied once and never unpacked.
     """
     if len(data) < 4:
         raise KeyFormatError("truncated key file: shorter than the magic")
@@ -232,8 +231,8 @@ def parse_keyset(data: bytes) -> KeySet:
         raise KeyFormatError("truncated key file: RBS section cut short")
     if len(data) > expected:
         raise KeyFormatError("declared RBS length inconsistent with file size")
-    unpacked = np.unpackbits(np.frombuffer(data[_RBS_AT:], dtype=np.uint8))
-    if np.any(unpacked[rbs_bits:]):
+    pad_bits = -rbs_bits % 8  # only the last byte holds any
+    if data[-1] & ((1 << pad_bits) - 1):
         raise KeyFormatError("nonzero pad bits after the RBS")
 
     try:
@@ -241,7 +240,7 @@ def parse_keyset(data: bytes) -> KeySet:
             sub=SubstitutionTable.from_forward(forward),
             byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
             bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
-            rbs=RbsLoop(unpacked[:rbs_bits]),
+            rbs=RbsLoop.from_packed(memoryview(data)[_RBS_AT:], rbs_bits),
             rule=_FLAG_RULES[rule_flag],
         )
     except ValueError as exc:  # pragma: no cover - everything is pre-validated

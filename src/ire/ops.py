@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sliding
 from .envelope import CipherEnvelope
-from .errors import CorruptionError, RuleMismatchError
+from .errors import CorruptionError, OffsetError, RuleMismatchError
 from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
 from .keystream import RbsLoop
 
@@ -130,6 +130,12 @@ def _check_combine(rbs: RbsLoop, offset: int, rule: str) -> None:
         raise ValueError(f"offset {offset} outside [0, {rbs.length})")
 
 
+# Bytes handled at once by the bit stage of encrypt and decrypt, and by
+# keystream_combine: small enough that a block and its temporaries stay
+# in cache, large enough that the per-block numpy calls cost little.
+_BLOCK_BYTES = 1 << 17
+
+
 def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) -> np.ndarray:
     """Combine a bit buffer with the loop fragment starting at offset.
 
@@ -137,30 +143,22 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     where they are equal, the bitwise complement of rule B. Either rule
     is its own inverse for a fixed (rbs, offset, rule), which is exactly
     how decryption undoes this stage. bits is left untouched; the copy
-    is xored in place against slices of the loop, one per lap at most.
+    is xored in place block by block against loop fragments, which
+    unpack only the packed bytes of the loop they cover.
     """
     _check_combine(rbs, offset, rule)
     out = np.array(bits, dtype=np.uint8)
-    loop = rbs.bits
-    head = min(rbs.length - offset, out.size)
-    first = out[:head]
-    first ^= loop[offset:offset + head]
-    laps, tail = divmod(out.size - head, rbs.length)
-    if laps:
-        whole = out[head:head + laps * rbs.length].reshape(laps, rbs.length)
-        whole ^= loop
-    if tail:
-        last = out[out.size - tail:]
-        last ^= loop[:tail]
+    for k0 in range(0, out.size, _BLOCK_BYTES):  # one bit per byte here
+        block = out[k0:k0 + _BLOCK_BYTES]
+        block ^= rbs.fragment((offset + k0) % rbs.length, block.size)
     if rule == RULE_A:
         out ^= 1
     return out
 
 
-# Bytes handled at once by the bit stage of encrypt and decrypt: small
-# enough that a block and its temporaries stay in cache, large enough
-# that the per-block numpy calls cost little.
-_BLOCK_BYTES = 1 << 17
+def _bits_at(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bits of packed src at each of the bit indices, as 0/1 bytes."""
+    return (src[index >> 3] >> (7 - (index & 7)).astype(np.uint8)) & 1
 
 
 def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
@@ -221,9 +219,8 @@ def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
     # Off the shift: output bit `to` takes input bit `source`, combined
     # with the key bit the message position dst meets in both directions.
     to, source = (dst, src) if forward else (src, dst)
-    source = source + 8 * lead
-    values = (padded[source >> 3] >> (7 - (source & 7)).astype(np.uint8)) & 1
-    values ^= rbs.bits[(offset + dst) % rbs.length]
+    values = _bits_at(padded, source + 8 * lead)
+    values ^= _bits_at(rbs.packed, (offset + dst) % rbs.length)
     if rule == RULE_A:
         values ^= 1
     bit = (7 - (to & 7)).astype(np.uint8)
@@ -256,12 +253,17 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
 
 
 def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
-    """Exact inverse of encrypt under the same keyset."""
+    """Exact inverse of encrypt under the same keyset.
+
+    An envelope made under another rule raises RuleMismatchError; one
+    whose start offset lies outside the loop raises OffsetError.
+    """
     if envelope.rule_echo != keyset.rule:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     if not 0 <= envelope.start_offset < keyset.rbs.length:
-        raise ValueError(f"start offset {envelope.start_offset} outside the RBS loop")
+        raise OffsetError(
+            f"start offset {envelope.start_offset} outside the RBS loop of {keyset.rbs.length} bits")
     byte_plan = sliding.shift_plan(keyset.byte_perm.map)
     n = len(envelope.payload)
     buf = np.empty(byte_plan.slack + n, dtype=np.uint8)

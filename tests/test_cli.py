@@ -6,7 +6,7 @@ import pytest
 import ire.cli
 import ire.ops
 from ire.cli import main
-from ire.envelope import HEADER_LEN
+from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
 from ire.keymat import parse_keyset
 
 
@@ -161,6 +161,20 @@ def test_decrypt_rejects_corrupt_envelope(tmp_path, key_file, capsys):
                        "--in", str(tmp_path / "c"), "--out", str(tmp_path / "back"))
     assert code == 1
     assert "magic" in err
+    assert not (tmp_path / "back").exists()
+
+
+def test_decrypt_offset_outside_loop(tmp_path, key_file, capsys):
+    plain = tmp_path / "p"
+    plain.write_bytes(b"offset moved past the loop")
+    run(capsys, "encrypt", "--key", key_file, "--in", str(plain), "--out", str(tmp_path / "c"))
+    env = decode_envelope((tmp_path / "c").read_bytes())
+    moved = type(env)(env.rule_echo, env.pad_count, 512, env.payload)  # the loop holds 512 bits
+    (tmp_path / "c").write_bytes(encode_envelope(moved))
+    code, _, err = run(capsys, "decrypt", "--key", key_file,
+                       "--in", str(tmp_path / "c"), "--out", str(tmp_path / "back"))
+    assert code == 1
+    assert "error:" in err and "offset" in err
     assert not (tmp_path / "back").exists()
 
 

@@ -1,5 +1,7 @@
+import gc
 import random
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,6 +29,7 @@ from ire.keymat import (
     serialize_keyset,
 )
 from ire.keystream import RbsLoop
+from ire.ops import decrypt, encrypt
 
 
 class ZeroSwapRng(random.Random):
@@ -260,3 +263,23 @@ def test_fingerprints_differ():
     b = serialize_keyset(generate_keyset(random.Random(2), rbs_bits=80))
     assert keyset_fingerprint(a) != keyset_fingerprint(b)
     assert len(keyset_fingerprint(a)) == 64
+
+
+def test_parse_keyset_memory_stays_near_the_image_size():
+    # the packed loop is copied once and never unpacked, during the parse
+    # or by a later encrypt and decrypt whose keystream wraps the loop end
+    image = serialize_keyset(generate_keyset(random.Random(5)))  # a 2^23-bit loop
+    gc.collect()
+    tracemalloc.start()
+    try:
+        keyset = parse_keyset(image)
+        _, peak = tracemalloc.get_traced_memory()
+        envelope = encrypt(b"wraps the end", keyset, keyset.rbs.length - 50)
+        assert decrypt(envelope, keyset) == b"wraps the end"
+        del envelope
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(image), f"parse peaked at {peak / len(image):.2f}x the image"
+    assert held <= 1.1 * len(image), f"keyset holds {held / len(image):.2f}x the image"

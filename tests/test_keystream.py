@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ire.analysis import monobit_test
 from ire.bits import bits_from_string, bits_to_string
 from ire.errors import GenerationError
 from ire.keystream import DEFAULT_RBS_BITS, RbsLoop, choose_offset, generate_rbs
@@ -102,6 +103,56 @@ def test_from_packed_rejects_bad_length():
         RbsLoop.from_packed(bytes(10), 81)  # needs 11 bytes
     with pytest.raises(ValueError):
         RbsLoop.from_packed(bytes(11), 80)  # one byte too many
+
+
+def test_from_packed_zeroes_pad_bits_and_copies():
+    loop = RbsLoop.from_packed(b"\xff" * 11, 81)  # a raw file read as 81 bits
+    assert loop.to_packed() == b"\xff" * 10 + b"\x80"
+    assert loop == RbsLoop(np.ones(81, dtype=np.uint8))
+    source = bytearray(b"\x0f" * 10)
+    loop = RbsLoop.from_packed(source, 80)
+    source[0] = 0xFF
+    assert loop.bit_at(0) == 0
+
+
+# --- the packed loop against its unpacked definition -------------------------
+
+@pytest.mark.parametrize("length", [80, 81, 87, 96, 101, 1001])
+def test_fragment_matches_unpacked_definition_at_seams(length):
+    # offsets within 8 bits of either end; counts that stop short of the
+    # end, reach it, and cross it once or several times
+    rng = random.Random(length)
+    bits = np.array([rng.randrange(2) for _ in range(length)], dtype=np.uint8)
+    loop = RbsLoop(bits)
+    for offset in [*range(9), *range(length - 9, length)]:
+        room = length - offset
+        for count in {0, 1, 7, 8, 9, room - 1, room, room + 1, room + 8,
+                      room + length, room + 2 * length + 3}:
+            expected = bits[(offset + np.arange(count)) % length]
+            assert np.array_equal(loop.fragment(offset, count), expected), (offset, count)
+
+
+def generate_rbs_unpacked(rng, length):
+    """generate_rbs written over unpacked bits; returns its packed loop and the draws it took."""
+    nbytes = (length + 7) // 8
+    for draws in range(1, 9):
+        raw = rng.getrandbits(length).to_bytes(nbytes, "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[8 * nbytes - length:]
+        if length < 100 or monobit_test(bits).passed:
+            return np.packbits(bits).tobytes(), draws
+    raise AssertionError("no candidate passed")
+
+
+@pytest.mark.parametrize("seed, length, draws", [
+    (5, 80, 1), (5, 100, 1), (143, 100, 2), (7, 1001, 1), (390, 1001, 2),
+    (11, (1 << 16) + 3, 1), (62, (1 << 16) + 3, 2),
+])
+def test_generate_rbs_matches_unpacked_definition(seed, length, draws):
+    expected, used = generate_rbs_unpacked(random.Random(seed), length)
+    assert used == draws  # the seeds with draws == 2 do take the redraw path
+    loop = generate_rbs(random.Random(seed), length)
+    assert loop.to_packed() == expected
+    assert np.array_equal(loop.bits, np.unpackbits(np.frombuffer(expected, dtype=np.uint8), count=length))
 
 
 # --- offset selection -----------------------------------------------------

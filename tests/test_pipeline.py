@@ -11,7 +11,7 @@ import oracles
 from ire import ops
 from ire.bits import bits_to_bytes, bytes_to_bits
 from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
-from ire.errors import CorruptionError, RuleMismatchError
+from ire.errors import CorruptionError, OffsetError, RuleMismatchError
 from ire.keymat import (
     RULE_A,
     RULE_B,
@@ -19,6 +19,8 @@ from ire.keymat import (
     SubstitutionTable,
     WindowPermutation,
     generate_keyset,
+    parse_keyset,
+    serialize_keyset,
 )
 from ire.keystream import RbsLoop
 from ire.ops import decrypt, encrypt
@@ -138,7 +140,7 @@ def test_rule_mismatch_is_refused(small_keyset):
 def test_offset_beyond_loop_is_refused(small_keyset):
     env = encrypt(b"message in range", small_keyset, 0)
     bad = type(env)(env.rule_echo, env.pad_count, small_keyset.rbs.length, env.payload)
-    with pytest.raises(ValueError, match="offset"):
+    with pytest.raises(OffsetError, match="offset"):
         decrypt(bad, small_keyset)
     with pytest.raises(ValueError):
         encrypt(b"message in range", small_keyset, small_keyset.rbs.length)
@@ -180,6 +182,28 @@ def test_ciphertext_size_law(small_keyset):
 
 
 # --- memory ------------------------------------------------------------------
+
+def test_wrapping_1mib_round_trip_peaks_under_4x_payload():
+    # reading the key across the loop end must not expand the loop
+    keyset = parse_keyset(serialize_keyset(generate_keyset(random.Random(73))))
+    message = random.Random(79).randbytes(1 << 20)
+    offset = keyset.rbs.length - 12_345
+    envelope = encrypt(message, keyset, offset)
+    assert decrypt(envelope, keyset) == message  # plans warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        encrypt(message, keyset, offset)
+        _, enc_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        decrypt(envelope, keyset)
+        _, dec_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enc_peak <= 4 * len(message), f"encrypt peaked at {enc_peak / len(message):.2f}x"
+    assert dec_peak - before <= 4 * len(message), f"decrypt peaked at {(dec_peak - before) / len(message):.2f}x"
+
 
 def test_memory_held_does_not_grow_with_distinct_lengths():
     keyset = generate_keyset(random.Random(61), rbs_bits=4096)
