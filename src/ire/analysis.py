@@ -19,6 +19,8 @@ __all__ = [
     "monobit_test",
     "monobit_verdict",
     "runs_test",
+    "runs_verdict",
+    "packed_bit_counts",
     "LineFit",
     "BenchPoint",
     "BenchReport",
@@ -75,15 +77,34 @@ def runs_test(bits: np.ndarray) -> TestVerdict:
     (distinct from failing) when |pi - 1/2| >= 2/sqrt(n), since the run
     count carries no information about a grossly biased sequence.
     """
-    n = int(bits.size)
+    return runs_verdict(int(np.count_nonzero(bits)), int(np.count_nonzero(bits[1:] != bits[:-1])),
+                        int(bits.size))
+
+
+def runs_verdict(ones: int, transitions: int, n: int) -> TestVerdict:
+    """The check of runs_test, from the count of ones among n bits and
+    the count of adjacent pairs that differ (one less than the runs)."""
     if n < MIN_TEST_BITS:
         raise ValueError(f"runs test needs at least {MIN_TEST_BITS} bits, got {n}")
-    pi = int(np.count_nonzero(bits)) / n
+    pi = ones / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestVerdict(statistic=0.0, p_value=0.0, passed=False, applicable=False)
-    runs = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+    runs = 1 + transitions
     statistic = abs(runs - 2.0 * n * pi * (1.0 - pi)) / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
     return _verdict(statistic, math.erfc(statistic))
+
+
+def packed_bit_counts(packed: np.ndarray, n: int) -> tuple[int, int]:
+    """Ones, and adjacent pairs that differ, among the first n bits of
+    MSB-first packed bytes whose bits after the n-th are zero; the
+    arguments monobit_verdict and runs_verdict take, without unpacking."""
+    ones = int(np.bitwise_count(packed).sum())
+    # the bits one place on; a uint8 multiply is the left shift numpy vectorizes
+    later = np.multiply(packed, 2, dtype=np.uint8)
+    later[:-1] |= packed[1:] >> 7
+    later ^= packed
+    later[-1] &= 0xFF << (8 - (n - 1) % 8) & 0xFF  # pairs (j, j+1) with j < n-1 only
+    return ones, int(np.bitwise_count(later).sum())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 crypto/format/IO error, 2 usage error.
+Exit codes: 0 success, 1 crypto/format/IO error, 2 usage error. Only
+IreError and OSError become exit code 1; any other exception is a bug
+and propagates.
 Output files are written to a temporary name and renamed into place on
 success, so a failing run never leaves a partial file behind.
 """
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, envelope as envelope_mod, keymat, keystream, ops, sliding
-from .bits import bits_from_string, bytes_to_bits
+from .bits import bits_from_string
 from .entropy import insecure_seeded_rng, system_rng
-from .errors import IreError
+from .errors import IreError, SampleSizeError
 
 DEFAULT_BENCH_SIZES = (65536, 131072, 262144, 524288, 1048576)
 
@@ -187,6 +189,10 @@ def run_encrypt(cfg: CommandConfig) -> int:
     if offset is None:
         offset = keystream.choose_offset(_select_rng(cfg), ks.rbs.length)
     envelope = ops.encrypt(message, ks, offset)
+    bits = 8 * len(envelope.payload)
+    if bits > ks.rbs.length:
+        print(f"WARNING: the message takes {bits} keystream bits from a loop of {ks.rbs.length}; "
+              "it reuses its own keystream (a two-time pad)", file=sys.stderr)
     if cfg.verbose:
         print(f"start offset: {offset}", file=sys.stderr)
     _write_atomic(cfg.output_path, envelope_mod.encode_envelope(envelope))
@@ -310,16 +316,22 @@ def run_bench(cfg: CommandConfig) -> int:
 
 def run_rndtest(cfg: CommandConfig) -> int:
     if cfg.key_path is not None:
-        bits = keymat.parse_keyset(_read(cfg.key_path)).rbs.bits
+        rbs = keymat.parse_keyset(_read(cfg.key_path)).rbs
+        packed, n = rbs.packed, rbs.length
         source = cfg.key_path
     else:
-        bits = bytes_to_bits(_read(cfg.input_path))
+        packed = np.frombuffer(_read(cfg.input_path), dtype=np.uint8)
+        n = 8 * packed.size
         source = cfg.input_path
-    results = [("monobit", analysis.monobit_test(bits)), ("runs", analysis.runs_test(bits))]
+    if n < analysis.MIN_TEST_BITS:
+        raise SampleSizeError(f"{source} holds {n} bits; the checks need at least {analysis.MIN_TEST_BITS}")
+    ones, transitions = analysis.packed_bit_counts(packed, n)
+    results = [("monobit", analysis.monobit_verdict(ones, n)),
+               ("runs", analysis.runs_verdict(ones, transitions, n))]
     if cfg.csv:
         print("test,statistic,p_value,verdict")
     else:
-        print(f"{len(bits)} bits from {source}")
+        print(f"{n} bits from {source}")
         print(f"{'test':>8} {'statistic':>12} {'p_value':>10} verdict")
     failed = 0
     for name, verdict in results:
@@ -347,7 +359,7 @@ def main(argv=None) -> int:
     cfg = parse_args(argv)
     try:
         return _DISPATCH[cfg.subcommand](cfg)
-    except (IreError, ValueError, OSError) as exc:
+    except (IreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

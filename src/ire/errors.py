@@ -27,3 +27,7 @@ class GenerationError(IreError):
 
 class OffsetError(IreError):
     """An envelope's start offset lies outside the keyset's RBS loop."""
+
+
+class SampleSizeError(IreError):
+    """Too few bits to run a randomness check on."""

@@ -156,11 +156,6 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     return out
 
 
-def _bits_at(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Bits of packed src at each of the bit indices, as 0/1 bytes."""
-    return (src[index >> 3] >> (7 - (index & 7)).astype(np.uint8)) & 1
-
-
 def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
     """Fill out[k] with the 8 bits of packed src that start at bit + 8k."""
     q, r = divmod(bit, 8)
@@ -189,61 +184,84 @@ def _read_key(rbs: RbsLoop, start: int, out: np.ndarray) -> None:
         _read_bits(rbs.packed, 8 * head - room, out[head:])
 
 
-def _bit_stage(data: np.ndarray, out: np.ndarray, plan: sliding.ShiftPlan,
-               rbs: RbsLoop, offset: int, rule: str, forward: bool) -> None:
+def _bit_stage(padded: np.ndarray, lead: int, out: np.ndarray, plan: sliding.ShiftPlan,
+               rbs: RbsLoop, offset: int, rule: str, ciphertext: np.ndarray | None = None) -> None:
     """Bit window and keystream combine of packed bytes, written to out.
 
-    Forward (encrypt) permutes, then combines; backward (decrypt)
-    combines, then unpermutes. Either way output bit j is input bit
-    j + shift combined with key bit offset + j + (0 or shift), except at
-    the plan's fixups, so the whole stage is two realigning reads of
-    packed bytes and an xor per block, and nothing is gathered but the
-    fixups.
+    Encrypt (ciphertext None) permutes, then combines; its input already
+    sits at padded[lead:lead + out.size]. Decrypt combines, then
+    unpermutes: each block of ciphertext is xored with the key straight
+    into that place in padded. lead is at least ceil(plan.slack / 8),
+    and zero bytes follow the input to the end of padded, at least
+    lead + 1 of them. Either way output bit j is input bit j + shift,
+    combined with key bit offset + j forward and offset + j + shift
+    backward, except at the plan's fixups. So the stage is a key xor and
+    a realigning read of packed bytes per block, then one key-free xor
+    patch over the first and last W output bits: at each fixup, the
+    input bit it takes xored with the one the block read put there.
     """
-    _check_combine(rbs, offset, rule)
-    src, dst = plan.fixups(8 * data.size)
+    size = out.size
+    forward = ciphertext is None
     shift = plan.slack if forward else -plan.slack
-    lead = -(-plan.slack // 8)
-    # slack on both sides of the input, and a byte for the last realigned read
-    padded = np.zeros(data.size + 2 * lead + 1, dtype=np.uint8)
-    padded[lead:lead + data.size] = data
-    key_at = offset if forward else offset + shift
-    key = np.empty(min(_BLOCK_BYTES, data.size), dtype=np.uint8)
-    for k0 in range(0, data.size, _BLOCK_BYTES):
+    key = np.empty(min(_BLOCK_BYTES, size), dtype=np.uint8)
+    for k0 in range(0, size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
+        _read_key(rbs, (offset + 8 * k0) % rbs.length, key[:block.size])
+        if not forward:  # the read below looks back into the combined input
+            np.bitwise_xor(ciphertext[k0:k0 + block.size], key[:block.size],
+                           out=padded[lead + k0:lead + k0 + block.size])
         _read_bits(padded, 8 * (lead + k0) + shift, block)
-        _read_key(rbs, (key_at + 8 * k0) % rbs.length, key[:block.size])
-        block ^= key[:block.size]
+        if forward:
+            block ^= key[:block.size]
         if rule == RULE_A:
             block ^= 0xFF
-    # Off the shift: output bit `to` takes input bit `source`, combined
-    # with the key bit the message position dst meets in both directions.
+    src, dst = plan.fixups(8 * size)
     to, source = (dst, src) if forward else (src, dst)
-    values = _bits_at(padded, source + 8 * lead)
-    values ^= _bits_at(rbs.packed, (offset + dst) % rbs.length)
-    if rule == RULE_A:
-        values ^= 1
-    bit = (7 - (to & 7)).astype(np.uint8)
-    np.bitwise_and.at(out, to >> 3, ~(np.uint8(1) << bit))
-    np.bitwise_or.at(out, to >> 3, values << bit)
+    # The input bits at both ends, from lead bytes before the input to
+    # lead bytes after it. Sliced from 8 * lead + s, edges reads input
+    # bit j + s at index j >= 0 and bit n + j + s at index j < 0, which
+    # is how the fixup tables count.
+    reach = -(-(plan.width + plan.slack) // 8)
+    edges = np.unpackbits(np.concatenate((
+        padded[:lead + reach], padded[lead + size - reach:2 * lead + size])))
+    inner = edges.size - 8 * lead
+    delta = edges[8 * lead:inner][source] ^ edges[8 * lead + shift:inner + shift][to]
+    half = -(-plan.width // 8)
+    patch = np.zeros(16 * half, dtype=np.uint8)
+    patch[to] = delta
+    patch = np.packbits(patch)
+    out[:half] ^= patch[:half]
+    out[size - half:] ^= patch[half:]
+
+
+def _check_offset(offset: int, rbs: RbsLoop) -> None:
+    if not 0 <= offset < rbs.length:
+        raise OffsetError(f"start offset {offset} outside the RBS loop of {rbs.length} bits")
 
 
 def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     """Run the full pipeline; offset picks where keystream drawing starts.
 
     Deterministic for a fixed (message, keyset, offset). Callers wanting
-    distinct ciphertexts per send must draw a fresh offset each time.
-    The window stages run on buffers owned here.
+    distinct ciphertexts per send must draw a fresh offset each time. An
+    offset outside the loop raises OffsetError. The substituted bytes
+    land in the bit stage's input buffer, where the byte window runs in
+    place.
     """
+    _check_offset(offset, keyset.rbs)
     padded = pad(message)
     byte_plan = sliding.shift_plan(keyset.byte_perm.map)
+    bit_plan = sliding.shift_plan(keyset.bit_perm.map)
     n = len(padded.data)
-    buf = np.empty(n + byte_plan.slack, dtype=np.uint8)
-    buf[:n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
-    scrambled = sliding.permute_in_place(buf, byte_plan)
+    # room before the input for the byte window's slack and the bit window's
+    lead = max(byte_plan.slack, -(-bit_plan.slack // 8))
+    buf = np.empty(2 * lead + n + 1, dtype=np.uint8)
+    buf[lead + n:] = 0
+    start = lead - byte_plan.slack
+    buf[start:start + n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
+    sliding.permute_in_place(buf[start:lead + n], byte_plan)
     payload = np.empty(n, dtype=np.uint8)
-    _bit_stage(scrambled, payload, sliding.shift_plan(keyset.bit_perm.map),
-               keyset.rbs, offset, keyset.rule, forward=True)
+    _bit_stage(buf, lead, payload, bit_plan, keyset.rbs, offset, keyset.rule)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
@@ -261,14 +279,17 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
     if envelope.rule_echo != keyset.rule:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
-    if not 0 <= envelope.start_offset < keyset.rbs.length:
-        raise OffsetError(
-            f"start offset {envelope.start_offset} outside the RBS loop of {keyset.rbs.length} bits")
+    _check_offset(envelope.start_offset, keyset.rbs)
     byte_plan = sliding.shift_plan(keyset.byte_perm.map)
+    bit_plan = sliding.shift_plan(keyset.bit_perm.map)
     n = len(envelope.payload)
+    lead = -(-bit_plan.slack // 8)
     buf = np.empty(byte_plan.slack + n, dtype=np.uint8)
-    _bit_stage(np.frombuffer(envelope.payload, dtype=np.uint8), buf[byte_plan.slack:],
-               sliding.shift_plan(keyset.bit_perm.map),
-               keyset.rbs, envelope.start_offset, keyset.rule, forward=False)
+    padded = np.empty(2 * lead + n + 1, dtype=np.uint8)
+    padded[:lead] = 0
+    padded[lead + n:] = 0
+    _bit_stage(padded, lead, buf[byte_plan.slack:], bit_plan, keyset.rbs, envelope.start_offset,
+               keyset.rule, ciphertext=np.frombuffer(envelope.payload, dtype=np.uint8))
+    del padded  # not held beside the copies below
     descrambled = sliding.unpermute_in_place(buf, byte_plan).tobytes()
     return unpad(PaddedMessage(unsubstitute(descrambled, keyset.sub), envelope.pad_count))

@@ -20,22 +20,26 @@ value at the current window start when g[r] == 0. The offset sequence
 is therefore a walk on the fixed map r -> g[r]-1, independent of where
 the window happens to be. Values inside the first window start the walk
 at their own offset; every value entering later starts it at offset
-W-1. That walk always retires: r -> g[r]-1 is injective with its image
-in 0..W-2, so W-1 has no preimage and cannot lie on a cycle. All
-interior values therefore retire after the same number of steps R and
-land at their origin plus the constant shift R-W+1, which is never
-positive. Only the first window's values (whose walks may cycle and
-ride along to the end) and the last R values (whose walks the final
-window cuts short) are placed individually.
+W-1. The map r -> g[r]-1 is injective, defined everywhere but at the
+offset with g[r] == 0, and onto 0..W-2, so the offsets split into one
+path from W-1 to that retiring offset and disjoint cycles. All interior
+values therefore retire after the same number of steps R, the path's
+length, and land at their origin plus the constant shift R-W+1, which
+is never positive. Only the first window's values and the last R
+values (whose walks the final window cuts short) are placed
+individually: a first-window value on the path retires at its own step
+below W or is cut short like a tail value, and one on a cycle of
+period p rides along to the final window, where it lands at a place
+that depends only on the number of slides modulo p.
 
-A ShiftPlan holds what depends on the map alone: the O(W^2) offset
-walks, R, and the placements of the last R values, which depend only
-on the distance from the end. Per call only the W head placements are
-computed, vectorized from the plan. The interior costs no data movement
-at all: the kernels work in place on a buffer with |shift| spare cells,
-and return the output as a view offset by |shift| from the input, so
-every interior value already sits where it belongs and only the fixups
-are written.
+So every fixup lies within W of an end of the buffer, and a ShiftPlan
+holds them all, computed from the map alone: the sources, the tail
+landings, the retire steps and, per cycle period p, p rows of landings.
+Per call, fixups(n) slices those tables. The interior costs no data
+movement at all: the kernels work in place on a buffer with |shift|
+spare cells, and return the output as a view offset by |shift| from the
+input, so every interior value already sits where it belongs and only
+the fixups are written.
 """
 
 from __future__ import annotations
@@ -113,24 +117,13 @@ def naive_sliding_unpermute(
     return buf
 
 
-def _offset_walk(g: Sequence[int], start: int) -> tuple[list[int], int | None, int]:
-    """Walk r -> g[r]-1 from start.
-
-    Returns the offsets visited, the step at which the value retires
-    (None if it never does), and the visit index where the walk starts
-    repeating (0 if it retires).
-    """
+def _offset_walk(g: Sequence[int], start: int) -> list[int]:
+    """Offsets visited by the walk r -> g[r]-1 from start, up to the
+    offset that retires (g[r] == 0) or the last before start recurs."""
     seq = [start]
-    first_seen = {start: 0}
-    while True:
-        nxt = g[seq[-1]]
-        if nxt == 0:
-            return seq, len(seq) - 1, 0
-        nxt -= 1
-        if nxt in first_seen:
-            return seq, None, first_seen[nxt]
-        first_seen[nxt] = len(seq)
-        seq.append(nxt)
+    while g[seq[-1]] != 0 and g[seq[-1]] - 1 != start:
+        seq.append(g[seq[-1]] - 1)
+    return seq
 
 
 class ShiftPlan:
@@ -139,49 +132,65 @@ class ShiftPlan:
     A pass over n values moves value a to a + shift, except for the
     values listed by fixups(n). slack = -shift is the number of spare
     cells the in-place kernels need.
+
+    The tables count indices in the last W of the buffer from its end
+    (negative), the rest from its start, so they do not depend on n;
+    fixups(n) only slices and concatenates them. They hold under
+    4W + slack^2 entries in all (at most W^2 from W = 4 on), as intp,
+    the type numpy indexes with: narrower types would be converted on
+    every call.
     """
 
     def __init__(self, pmap: Sequence[int]):
         width = len(pmap)
         g = invert_map(pmap)
-        entry_seq, retire, _loop = _offset_walk(g, width - 1)
+        path = _offset_walk(g, width - 1)
+        retire = len(path) - 1
         self.width = width
         self.retire = retire
         self.slack = width - 1 - retire
-        # The value d places from the end entered at offset W-1 and is
-        # still in flight when the final window, starting at n-W, applies.
-        self._tail_src = -1 - np.arange(retire, dtype=np.intp)
-        self._tail_dst = np.array([g[r] - width for r in entry_seq[:retire]], dtype=np.intp)
-        # The first window's values walk from their own offsets. Either a
-        # value retires at window retire_at, or after the walk has taken
-        # budget = n-W steps the final window puts it at n-W + g[offset].
-        walks = [_offset_walk(g, a) for a in range(width)]
-        longest = max(len(seq) for seq, _retire, _loop in walks)
-        never = np.iinfo(np.intp).max
-        self._head_src = np.arange(width, dtype=np.intp)
-        self._retire_at = np.array([never if r is None else r for _s, r, _l in walks], dtype=np.intp)
-        self._walk_len = np.array([len(seq) for seq, _r, _l in walks], dtype=np.intp)
-        self._loop = np.array([loop for _s, _r, loop in walks], dtype=np.intp)
-        self._period = self._walk_len - self._loop
-        self._landing = np.zeros((width, longest), dtype=np.intp)
-        for a, (seq, _retire, _loop) in enumerate(walks):
-            self._landing[a, :len(seq)] = [g[r] for r in seq]
+        # The offsets off the entry path form cycles of the walk; group
+        # them by period, since a period-p cycle repeats every p steps.
+        cycles: dict[int, list[list[int]]] = {}
+        seen = set(path)
+        for a in range(width):
+            if a not in seen:
+                cycle = _offset_walk(g, a)
+                seen.update(cycle)
+                cycles.setdefault(len(cycle), []).append(cycle)
+        ring = [a for period in sorted(cycles) for cycle in cycles[period] for a in cycle]
+        # Sources: the first window's values (entry path order, then the
+        # cycles), then the value d places from the end for d < R.
+        self._src = np.array(path + ring + [-1 - d for d in range(retire)], dtype=np.intp)
+        # The value d places from the end entered at offset W-1 and sits
+        # at offset path[d] when the final window, starting at n-W,
+        # applies. So does the first window's value path[i] when
+        # i + (n-W) = d; with i + (n-W) >= R it retired at step R - i.
+        self._tail_dst = np.array([g[r] - width for r in path[:retire]], dtype=np.intp)
+        self._retire_dst = np.arange(retire, -1, -1, dtype=np.intp)
+        # A cycle's value that starts at cycle position j sits at
+        # position (j + budget) % p when the final window applies, so
+        # the landings of period p take p rows, one per budget % p.
+        self._landing = [
+            (period, np.array([[g[cycle[(j + b) % period]] - width
+                                for cycle in cycles[period] for j in range(period)]
+                               for b in range(period)], dtype=np.intp))
+            for period in sorted(cycles)
+        ]
 
     def fixups(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Origin and final index of every value a pass over n values
         does not move by the constant shift: the first window's W values
-        and the last min(R, n-W)."""
+        and the last min(R, n-W). Indices below zero count from the end."""
         budget = n - self.width
         if budget < 0:
             raise ValueError(f"buffer holds {n} values, need at least {self.width}")
-        step = np.where(budget < self._walk_len, budget,
-                        self._loop + (budget - self._loop) % self._period)
-        head_dst = np.where(self._retire_at <= budget, self._retire_at,
-                            budget + self._landing[self._head_src, step])
-        tail = min(self.retire, budget)
-        src = np.concatenate((self._head_src, n + self._tail_src[:tail]))
-        dst = np.concatenate((head_dst, n + self._tail_dst[:tail]))
-        return src, dst
+        cut = min(self.retire, budget)
+        dst = np.concatenate((
+            self._tail_dst[cut:], self._retire_dst[self.retire - cut:],
+            *(table[budget % period] for period, table in self._landing),
+            self._tail_dst[:cut]))
+        return self._src[:self.width + cut], dst
 
 
 @lru_cache(maxsize=8)
@@ -196,8 +205,9 @@ def permute_in_place(buf: np.ndarray, plan: ShiftPlan) -> np.ndarray:
     The slack cells after the input are scratch. Returns the output as
     the view buf[plan.slack:]; buf no longer holds the input.
     """
-    src, dst = plan.fixups(buf.size - plan.slack)
-    moved = buf[src]
+    n = buf.size - plan.slack
+    src, dst = plan.fixups(n)
+    moved = buf[:n][src]
     out = buf[plan.slack:]
     out[dst] = moved
     return out

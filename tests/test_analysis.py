@@ -11,9 +11,12 @@ from ire.analysis import (
     TestVerdict,
     bench_linear,
     monobit_test,
+    monobit_verdict,
+    packed_bit_counts,
     runs_test,
+    runs_verdict,
 )
-from ire.keystream import generate_rbs
+from ire.keystream import RbsLoop, generate_rbs
 
 
 def bits_of(pattern, length):
@@ -160,3 +163,27 @@ def test_verdict_is_frozen():
     with pytest.raises(AttributeError):
         verdict.passed = False
     assert ALPHA == 0.01
+
+
+# --- verdicts from packed bytes ------------------------------------------------
+
+@pytest.mark.parametrize("length", [100, 101, 1001, (1 << 16) + 3])
+def test_packed_counts_give_the_unpacked_verdicts(length):
+    rng = random.Random(length)
+    cases = {
+        "fair": [rng.randrange(2) for _ in range(length)],
+        "biased": [int(rng.random() < 0.3) for _ in range(length)],  # runs: n/a
+        "alternating": [i % 2 for i in range(length)],
+        "ends in ones": [0] * (length - 9) + [1] * 9,
+    }
+    for name, bits in cases.items():
+        arr = np.array(bits, dtype=np.uint8)
+        ones, transitions = packed_bit_counts(RbsLoop(arr).packed, length)
+        assert ones == int(arr.sum()), name
+        assert transitions == int(np.count_nonzero(arr[1:] != arr[:-1])), name
+        assert monobit_verdict(ones, length) == monobit_test(arr), name
+        assert runs_verdict(ones, transitions, length) == runs_test(arr), name
+    raw = rng.randbytes(-(-length // 8))  # whole bytes: no pad bits
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    ones, transitions = packed_bit_counts(np.frombuffer(raw, dtype=np.uint8), bits.size)
+    assert runs_verdict(ones, transitions, bits.size) == runs_test(bits)

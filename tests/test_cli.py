@@ -131,7 +131,34 @@ def test_encrypt_offset_out_of_range(tmp_path, key_file, capsys):
     code, _, err = run(capsys, "encrypt", "--key", key_file, "--in", str(plain),
                        "--out", str(tmp_path / "c"), "--offset", "512")
     assert code == 1
-    assert "error:" in err
+    assert "error:" in err and "offset" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_encrypt_warns_when_message_outruns_the_loop(tmp_path, key_file, capsys):
+    # the key_file loop holds 512 bits: 65 bytes reuse keystream, 64 do not
+    for size, warned in ((5, False), (64, False), (65, True), (1000, True)):
+        plain = tmp_path / "p"
+        plain.write_bytes((bytes(range(256)) * 4)[:size])
+        code, _, err = run(capsys, "encrypt", "--key", key_file, "--in", str(plain),
+                           "--out", str(tmp_path / "c"))
+        assert code == 0
+        assert ("two-time pad" in err) == warned, (size, err)
+        code, _, _ = run(capsys, "decrypt", "--key", key_file,
+                         "--in", str(tmp_path / "c"), "--out", str(tmp_path / "back"))
+        assert code == 0 and (tmp_path / "back").read_bytes() == plain.read_bytes()
+
+
+def test_library_bug_is_not_an_exit_code(tmp_path, key_file, capsys, monkeypatch):
+    # a ValueError from inside a stage is a bug, not a data fault
+    def broken(data, table):
+        raise ValueError("stage bug")
+
+    monkeypatch.setattr(ire.ops, "substitute", broken)
+    plain = tmp_path / "p"
+    plain.write_bytes(b"hits the broken stage")
+    with pytest.raises(ValueError, match="stage bug"):
+        main(["encrypt", "--key", key_file, "--in", str(plain), "--out", str(tmp_path / "c")])
     assert not (tmp_path / "c").exists()
 
 
@@ -299,6 +326,16 @@ def test_rndtest_flags_constant_bits(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "n/a" in out  # runs check bows out on a fully biased input
+
+
+def test_rndtest_refuses_input_under_100_bits(tmp_path, capsys):
+    for size in (0, 12):  # 0 and 96 bits
+        raw = tmp_path / "short.bin"
+        raw.write_bytes(bytes(range(size)))
+        code, out, err = run(capsys, "rndtest", "--in", str(raw))
+        assert code == 1
+        assert "error:" in err and "100" in err
+        assert out == ""
 
 
 def test_rndtest_requires_exactly_one_source(tmp_path, capsys):

@@ -24,6 +24,7 @@ from ire.keymat import (
 )
 from ire.keystream import RbsLoop
 from ire.ops import decrypt, encrypt
+from test_sliding import _map_with_cycles
 
 
 def identity_keyset(rule=RULE_B, rbs_bits=80):
@@ -77,12 +78,29 @@ def _composed_payload(message, keyset, offset):
     return bits_to_bytes(ops.keystream_combine(bits, keyset.rbs, offset, keyset.rule))
 
 
+def _extreme_window_maps(rng):
+    """(byte map, bit map) pairs at the ends of the shift range: no
+    slack, all slack (every offset but W-1 a fixed point of the walk, or
+    one cycle through all of them), and walk cycles of 1, 2 and 31."""
+    def rotate_right(width):
+        return (width - 1,) + tuple(range(width - 1))
+
+    return [
+        (tuple(range(10)), tuple(range(80))),
+        (rotate_right(10), rotate_right(80)),
+        (rotate_right(10), tuple(range(80))),
+        (tuple(range(10)), _map_with_cycles(80, (79,), rng)),
+        (tuple(rng.sample(range(10), 10)), _map_with_cycles(80, (1, 2, 31), rng)),
+    ]
+
+
 @pytest.mark.parametrize("rbs_bits", [97, 4096, 300_007, 1_500_007])
 def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
     # encrypt and decrypt fuse the bit window with the combine and work
     # through packed bytes a block at a time; lengths around the block
     # size, and loops shorter than a block, must give what the separate
-    # public stages give
+    # public stages give; so must short messages, whose window edges
+    # overlap, under maps with no shift and with the largest shifts
     rng = random.Random(71 + rbs_bits)
     block_bytes = ops._BLOCK_BYTES
     for rule in (RULE_A, RULE_B):
@@ -93,6 +111,15 @@ def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
             env = encrypt(message, keyset, offset)
             assert env.payload == _composed_payload(message, keyset, offset), (rule, n)
             assert decrypt(env, keyset) == message
+        for byte_map, bit_map in _extreme_window_maps(rng):
+            extreme = KeySet(keyset.sub, WindowPermutation(10, byte_map),
+                             WindowPermutation(80, bit_map), keyset.rbs, rule)
+            for n in (0, 9, 10, 11, 12, 19, 20, 21, 30, 1000, block_bytes + 1):
+                message = rng.randbytes(n)
+                offset = rng.randrange(rbs_bits)
+                env = encrypt(message, extreme, offset)
+                assert env.payload == _composed_payload(message, extreme, offset), (rule, n, bit_map)
+                assert decrypt(env, extreme) == message
 
 
 def test_round_trip_across_lengths(small_keyset):
@@ -142,7 +169,7 @@ def test_offset_beyond_loop_is_refused(small_keyset):
     bad = type(env)(env.rule_echo, env.pad_count, small_keyset.rbs.length, env.payload)
     with pytest.raises(OffsetError, match="offset"):
         decrypt(bad, small_keyset)
-    with pytest.raises(ValueError):
+    with pytest.raises(OffsetError, match="offset"):
         encrypt(b"message in range", small_keyset, small_keyset.rbs.length)
 
 

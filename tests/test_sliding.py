@@ -237,3 +237,72 @@ def test_global_index_map_matches_naive_positions():
         out = naive_sliding_permute(list(range(n)), pmap)
         sigma = global_index_map(pmap, n)
         assert [out[s] for s in sigma.tolist()] == list(range(n))
+
+
+# --- fixup tables --------------------------------------------------------------
+
+def _map_with_cycles(width, periods, rng):
+    """A map whose offset walk r -> g[r]-1 has cycles of the given
+    periods; the other offsets form the entry path from W-1."""
+    offsets = rng.sample(range(width - 1), width - 1)
+    g = [0] * width
+    for period in periods:
+        cycle, offsets = offsets[:period], offsets[period:]
+        for j, r in enumerate(cycle):
+            g[r] = cycle[(j + 1) % period] + 1
+    path = [width - 1] + offsets
+    for r, nxt in zip(path, path[1:]):
+        g[r] = nxt + 1
+    return invert_map(g)  # g[path[-1]] == 0: the path retires there
+
+
+def _positions_for_every_length(pmap, longest):
+    """For n = W .. longest, the final index of every starting index,
+    from one window-by-window pass: the first n cells after window n-W
+    are the whole pass over n values."""
+    width = len(pmap)
+    buf = np.arange(longest)
+    windows = np.array(pmap)
+    positions = {}
+    for k in range(longest - width + 1):
+        buf[k:k + width] = buf[k:k + width][windows]
+        n = k + width
+        sigma = np.empty(n, dtype=np.intp)
+        sigma[buf[:n]] = np.arange(n)
+        positions[n] = sigma
+    return positions
+
+
+def _table_entries(plan):
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    return sum(a.size for a in arrays) + sum(table.size for _period, table in plan._landing)
+
+
+@pytest.mark.parametrize("width, cycle_sets", [
+    (10, [(1, 2), (1, 2, 6), (2, 2, 1, 1), (9,), ()]),
+    (80, [(1, 2, 31), (1, 1, 2, 2, 31, 40), (79,), (33, 1)]),
+])
+def test_fixup_tables_match_the_window_pass(width, cycle_sets):
+    rng = random.Random(83 + width)
+    maps = [_map_with_cycles(width, periods, rng) for periods in cycle_sets]
+    maps += [tuple(rng.sample(range(width), width)) for _ in range(2)]
+    longest = max(3 * width, width + 399)
+    for pmap, periods in zip(maps, cycle_sets + [None, None]):
+        plan = shift_plan(pmap)
+        if periods is not None:
+            assert sorted(p for p, table in plan._landing for _ in range(table.shape[1] // p)) \
+                == sorted(periods)
+        assert _table_entries(plan) <= width * width, (pmap, _table_entries(plan))
+        positions = _positions_for_every_length(pmap, longest)
+        out = naive_sliding_permute(range(longest), pmap)
+        assert [out[s] for s in positions[longest].tolist()] == list(range(longest))
+        assert np.array_equal(global_index_map(pmap, longest), positions[longest])
+        for n, sigma in positions.items():
+            src, dst = plan.fixups(n)
+            # the basis of the tables: every fixup sits within W of an end
+            assert src.min() >= -plan.retire and src.max() < width
+            assert dst.min() >= -width and dst.max() < width
+            assert len(set((src % n).tolist())) == src.size == dst.size
+            expected = np.arange(n) - plan.slack
+            expected[src] = dst % n
+            assert np.array_equal(expected, sigma), (pmap, n)
