@@ -5,116 +5,32 @@ permutation, a sliding 80-bit window permutation, and a keystream
 combine over a looped random bit sequence, plus key-material tooling,
 bit-exact key and ciphertext file formats, desk-scale randomness
 checks, and a linear-scaling benchmark.
+
+The package exports the encrypt and decrypt round trip and keyset
+handling; everything else lives in its module: ire.ops (the stages),
+ire.keymat, ire.keystream, ire.envelope, ire.errors, ire.analysis,
+ire.sliding and ire.bits.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    ALPHA,
-    BenchPoint,
-    BenchReport,
-    LineFit,
-    TestVerdict,
-    bench_linear,
-    monobit_test,
-    runs_test,
-)
 from .envelope import CipherEnvelope, decode_envelope, encode_envelope
-from .errors import (
-    CorruptionError,
-    EnvelopeFormatError,
-    GenerationError,
-    IreError,
-    KeyFormatError,
-    OffsetError,
-    RuleMismatchError,
-)
-from .keymat import (
-    BIT_WINDOW,
-    BYTE_WINDOW,
-    RULE_A,
-    RULE_B,
-    RULES,
-    KeySet,
-    SubstitutionTable,
-    WindowPermutation,
-    generate_keyset,
-    generate_substitution_table,
-    generate_window_permutation,
-    invert_window_permutation,
-    keyset_fingerprint,
-    parse_keyset,
-    serialize_keyset,
-)
-from .keystream import DEFAULT_RBS_BITS, RbsLoop, choose_offset, generate_rbs
-from .ops import (
-    PAD_BYTE,
-    PAD_WIDTH,
-    PaddedMessage,
-    decrypt,
-    encrypt,
-    keystream_combine,
-    pad,
-    sliding_bit_permute,
-    sliding_bit_unpermute,
-    sliding_byte_permute,
-    sliding_byte_unpermute,
-    substitute,
-    unpad,
-    unsubstitute,
-)
+from .errors import IreError
+from .keymat import KeySet, generate_keyset, parse_keyset, serialize_keyset
+from .keystream import choose_offset
+from .ops import decrypt, encrypt
 
 __all__ = [
     "__version__",
-    "ALPHA",
-    "BIT_WINDOW",
-    "BYTE_WINDOW",
-    "DEFAULT_RBS_BITS",
-    "PAD_BYTE",
-    "PAD_WIDTH",
-    "RULE_A",
-    "RULE_B",
-    "RULES",
-    "BenchPoint",
-    "BenchReport",
     "CipherEnvelope",
-    "CorruptionError",
-    "EnvelopeFormatError",
-    "GenerationError",
     "IreError",
-    "KeyFormatError",
     "KeySet",
-    "LineFit",
-    "OffsetError",
-    "PaddedMessage",
-    "RbsLoop",
-    "RuleMismatchError",
-    "SubstitutionTable",
-    "TestVerdict",
-    "WindowPermutation",
-    "bench_linear",
     "choose_offset",
     "decode_envelope",
     "decrypt",
     "encode_envelope",
     "encrypt",
     "generate_keyset",
-    "generate_rbs",
-    "generate_substitution_table",
-    "generate_window_permutation",
-    "invert_window_permutation",
-    "keyset_fingerprint",
-    "keystream_combine",
-    "monobit_test",
-    "pad",
     "parse_keyset",
-    "runs_test",
     "serialize_keyset",
-    "sliding_bit_permute",
-    "sliding_bit_unpermute",
-    "sliding_byte_permute",
-    "sliding_byte_unpermute",
-    "substitute",
-    "unpad",
-    "unsubstitute",
 ]

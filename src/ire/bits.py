@@ -12,7 +12,6 @@ __all__ = [
     "bits_to_bytes",
     "bits_from_string",
     "bits_to_string",
-    "popcount",
 ]
 
 
@@ -36,7 +35,3 @@ def bits_from_string(text: str) -> np.ndarray:
 
 def bits_to_string(bits: np.ndarray) -> str:
     return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
-
-
-def popcount(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits))

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,22 +22,6 @@ from .entropy import insecure_seeded_rng, system_rng
 from .errors import IreError, SampleSizeError
 
 DEFAULT_BENCH_SIZES = (65536, 131072, 262144, 524288, 1048576)
-
-
-@dataclass
-class CommandConfig:
-    subcommand: str
-    key_path: str | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    rbs_bits: int = keystream.DEFAULT_RBS_BITS
-    rule: str = keymat.RULE_B
-    explicit_offset: int | None = None
-    test_seed: int | None = None
-    verbose: bool = False
-    csv: bool = False
-    sizes: tuple[int, ...] = field(default=DEFAULT_BENCH_SIZES)
-    repetitions: int = 5
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
@@ -57,15 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     keygen = sub.add_parser("keygen", help="generate a keyset file")
+    keygen.set_defaults(run=run_keygen)
     keygen.add_argument("--out", required=True, metavar="PATH", help="where to write the key file")
     keygen.add_argument("--rbs-bits", type=int, default=keystream.DEFAULT_RBS_BITS, metavar="N",
                         help="random bit sequence length in bits (default %(default)s)")
-    keygen.add_argument("--rule", choices=["a", "b", "A", "B"], default="b",
-                        help="combine rule (default %(default)s)")
+    keygen.add_argument("--rule", type=str.upper, choices=keymat.RULES, default=keymat.RULE_B,
+                        help="combine rule, in either case (default %(default)s)")
     keygen.add_argument("--seed", type=int, default=None, metavar="N",
                         help="deterministic generation for tests; NOT secure")
 
     encrypt = sub.add_parser("encrypt", help="encrypt a file")
+    encrypt.set_defaults(run=run_encrypt)
     encrypt.add_argument("--key", required=True, metavar="PATH")
     encrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     encrypt.add_argument("--out", required=True, metavar="PATH")
@@ -77,13 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the chosen start offset to stderr")
 
     decrypt = sub.add_parser("decrypt", help="decrypt an envelope file")
+    decrypt.set_defaults(run=run_decrypt)
     decrypt.add_argument("--key", required=True, metavar="PATH")
     decrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     decrypt.add_argument("--out", required=True, metavar="PATH")
 
-    sub.add_parser("selftest", help="run the built-in known-answer checks")
+    selftest = sub.add_parser("selftest", help="run the built-in known-answer checks")
+    selftest.set_defaults(run=run_selftest)
 
     bench = sub.add_parser("bench", help="measure encrypt/decrypt scaling")
+    bench.set_defaults(run=run_bench)
     bench.add_argument("--key", default=None, metavar="PATH",
                        help="keyset to bench with (default: ephemeral keyset)")
     bench.add_argument("--sizes", type=_sizes_arg, default=DEFAULT_BENCH_SIZES, metavar="N,N,...",
@@ -93,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--csv", action="store_true", help="machine-readable output")
 
     rndtest = sub.add_parser("rndtest", help="run randomness checks over keystream bits")
+    rndtest.set_defaults(run=run_rndtest)
     rndtest.add_argument("--key", default=None, metavar="PATH",
                          help="check the RBS inside a keyset file")
     rndtest.add_argument("--in", dest="input", default=None, metavar="PATH",
@@ -102,53 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> CommandConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = CommandConfig(subcommand=ns.subcommand)
-    if ns.subcommand == "keygen":
-        if ns.rbs_bits < keystream.RbsLoop.MIN_BITS:
-            parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")
-        cfg.output_path = ns.out
-        cfg.rbs_bits = ns.rbs_bits
-        cfg.rule = ns.rule.upper()
-        cfg.test_seed = ns.seed
-    elif ns.subcommand == "encrypt":
-        if ns.offset is not None and ns.offset < 0:
-            parser.error("--offset must be non-negative")
-        cfg.key_path = ns.key
-        cfg.input_path = ns.input
-        cfg.output_path = ns.out
-        cfg.explicit_offset = ns.offset
-        cfg.test_seed = ns.seed
-        cfg.verbose = ns.verbose
-    elif ns.subcommand == "decrypt":
-        cfg.key_path = ns.key
-        cfg.input_path = ns.input
-        cfg.output_path = ns.out
-    elif ns.subcommand == "bench":
-        if ns.reps < 3:
+    args = parser.parse_args(argv)
+    if args.subcommand == "keygen" and args.rbs_bits < keystream.RbsLoop.MIN_BITS:
+        parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")
+    elif args.subcommand == "encrypt" and args.offset is not None and args.offset < 0:
+        parser.error("--offset must be non-negative")
+    elif args.subcommand == "bench":
+        if args.reps < 3:
             parser.error("--reps must be at least 3")
-        if not ns.sizes or any(s < 10 for s in ns.sizes) or sorted(set(ns.sizes)) != list(ns.sizes):
+        if not args.sizes or any(s < 10 for s in args.sizes) or sorted(set(args.sizes)) != list(args.sizes):
             parser.error("--sizes must be strictly increasing and at least 10 bytes each")
-        cfg.key_path = ns.key
-        cfg.sizes = tuple(ns.sizes)
-        cfg.repetitions = ns.reps
-        cfg.csv = ns.csv
-    elif ns.subcommand == "rndtest":
-        if (ns.key is None) == (ns.input is None):
-            parser.error("give exactly one of --key or --in")
-        cfg.key_path = ns.key
-        cfg.input_path = ns.input
-        cfg.csv = ns.csv
-    return cfg
+    elif args.subcommand == "rndtest" and (args.key is None) == (args.input is None):
+        parser.error("give exactly one of --key or --in")
+    return args
 
 
-def _select_rng(cfg: CommandConfig):
-    if cfg.test_seed is not None:
+def _select_rng(args: argparse.Namespace):
+    if args.seed is not None:
         print("WARNING: --seed makes the output deterministic; test use only, NOT secure",
               file=sys.stderr)
-        return insecure_seeded_rng(cfg.test_seed)
+        return insecure_seeded_rng(args.seed)
     return system_rng()
 
 
@@ -172,38 +136,38 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def run_keygen(cfg: CommandConfig) -> int:
-    rng = _select_rng(cfg)
-    ks = keymat.generate_keyset(rng, rbs_bits=cfg.rbs_bits, rule=cfg.rule)
+def run_keygen(args: argparse.Namespace) -> int:
+    rng = _select_rng(args)
+    ks = keymat.generate_keyset(rng, rbs_bits=args.rbs_bits, rule=args.rule)
     blob = keymat.serialize_keyset(ks)
-    _write_atomic(cfg.output_path, blob)
-    print(f"wrote {cfg.output_path} ({len(blob)} bytes)")
+    _write_atomic(args.out, blob)
+    print(f"wrote {args.out} ({len(blob)} bytes)")
     print(f"fingerprint sha256:{keymat.keyset_fingerprint(blob)}")
     return 0
 
 
-def run_encrypt(cfg: CommandConfig) -> int:
-    ks = keymat.parse_keyset(_read(cfg.key_path))
-    message = _read(cfg.input_path)
-    offset = cfg.explicit_offset
+def run_encrypt(args: argparse.Namespace) -> int:
+    ks = keymat.parse_keyset(_read(args.key))
+    message = _read(args.input)
+    offset = args.offset
     if offset is None:
-        offset = keystream.choose_offset(_select_rng(cfg), ks.rbs.length)
+        offset = keystream.choose_offset(_select_rng(args), ks.rbs.length)
     envelope = ops.encrypt(message, ks, offset)
     bits = 8 * len(envelope.payload)
     if bits > ks.rbs.length:
         print(f"WARNING: the message takes {bits} keystream bits from a loop of {ks.rbs.length}; "
               "it reuses its own keystream (a two-time pad)", file=sys.stderr)
-    if cfg.verbose:
+    if args.verbose:
         print(f"start offset: {offset}", file=sys.stderr)
-    _write_atomic(cfg.output_path, envelope_mod.encode_envelope(envelope))
+    _write_atomic(args.out, envelope_mod.encode_envelope(envelope))
     return 0
 
 
-def run_decrypt(cfg: CommandConfig) -> int:
-    ks = keymat.parse_keyset(_read(cfg.key_path))
-    envelope = envelope_mod.decode_envelope(_read(cfg.input_path))
+def run_decrypt(args: argparse.Namespace) -> int:
+    ks = keymat.parse_keyset(_read(args.key))
+    envelope = envelope_mod.decode_envelope(_read(args.input))
     message = ops.decrypt(envelope, ks)
-    _write_atomic(cfg.output_path, message)
+    _write_atomic(args.out, message)
     return 0
 
 
@@ -280,7 +244,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def run_selftest(cfg: CommandConfig) -> int:
+def run_selftest(args: argparse.Namespace) -> int:
     checks = _selftest_checks()
     for name, ok in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
@@ -289,14 +253,14 @@ def run_selftest(cfg: CommandConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-def run_bench(cfg: CommandConfig) -> int:
-    if cfg.key_path is not None:
-        ks = keymat.parse_keyset(_read(cfg.key_path))
+def run_bench(args: argparse.Namespace) -> int:
+    if args.key is not None:
+        ks = keymat.parse_keyset(_read(args.key))
     else:
         print("no key given, benching with an ephemeral keyset", file=sys.stderr)
         ks = keymat.generate_keyset(system_rng(), rbs_bits=1 << 20)
-    report = analysis.bench_linear(ks, cfg.sizes, repetitions=cfg.repetitions)
-    if cfg.csv:
+    report = analysis.bench_linear(ks, args.sizes, repetitions=args.reps)
+    if args.csv:
         print("size_bytes,encrypt_seconds,decrypt_seconds")
         for point in report.points:
             print(f"{point.size},{point.encrypt_seconds:.9f},{point.decrypt_seconds:.9f}")
@@ -314,21 +278,21 @@ def run_bench(cfg: CommandConfig) -> int:
     return 0
 
 
-def run_rndtest(cfg: CommandConfig) -> int:
-    if cfg.key_path is not None:
-        rbs = keymat.parse_keyset(_read(cfg.key_path)).rbs
+def run_rndtest(args: argparse.Namespace) -> int:
+    if args.key is not None:
+        rbs = keymat.parse_keyset(_read(args.key)).rbs
         packed, n = rbs.packed, rbs.length
-        source = cfg.key_path
+        source = args.key
     else:
-        packed = np.frombuffer(_read(cfg.input_path), dtype=np.uint8)
+        packed = np.frombuffer(_read(args.input), dtype=np.uint8)
         n = 8 * packed.size
-        source = cfg.input_path
+        source = args.input
     if n < analysis.MIN_TEST_BITS:
         raise SampleSizeError(f"{source} holds {n} bits; the checks need at least {analysis.MIN_TEST_BITS}")
     ones, transitions = analysis.packed_bit_counts(packed, n)
     results = [("monobit", analysis.monobit_verdict(ones, n)),
                ("runs", analysis.runs_verdict(ones, transitions, n))]
-    if cfg.csv:
+    if args.csv:
         print("test,statistic,p_value,verdict")
     else:
         print(f"{n} bits from {source}")
@@ -338,27 +302,17 @@ def run_rndtest(cfg: CommandConfig) -> int:
         word = "pass" if verdict.passed else ("n/a" if not verdict.applicable else "FAIL")
         if verdict.applicable and not verdict.passed:
             failed += 1
-        if cfg.csv:
+        if args.csv:
             print(f"{name},{verdict.statistic:.6f},{verdict.p_value:.6f},{word}")
         else:
             print(f"{name:>8} {verdict.statistic:>12.6f} {verdict.p_value:>10.6f} {word}")
     return 0 if failed == 0 else 1
 
 
-_DISPATCH = {
-    "keygen": run_keygen,
-    "encrypt": run_encrypt,
-    "decrypt": run_decrypt,
-    "selftest": run_selftest,
-    "bench": run_bench,
-    "rndtest": run_rndtest,
-}
-
-
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return args.run(args)
     except (IreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -22,8 +23,8 @@ class RbsLoop:
     The final bit wraps around to the first, so any amount of keystream
     can be drawn starting from any bit. The loop is stored only as
     MSB-first packed bytes, eight bits to a byte, with the pad bits of
-    the last byte zero; bits and fragment unpack on demand. Instances
-    are immutable.
+    the last byte zero; read draws packed keystream from it, and bits
+    and fragment unpack on demand. Instances are immutable.
     """
 
     MIN_BITS = 80
@@ -77,34 +78,49 @@ class RbsLoop:
         index %= self._length
         return int(self._packed[index >> 3]) >> (7 - (index & 7)) & 1
 
-    def _unpack(self, start: int, count: int) -> np.ndarray:
-        """Bits start .. start+count-1, unpacking only the bytes they cover."""
-        first = start >> 3
-        covered = self._packed[first:(start + count + 7) >> 3]
-        return np.unpackbits(covered)[start - 8 * first:][:count]
+    def read(self, start: int, out: np.ndarray) -> None:
+        """Fill out with the loop's bits from start on, packed MSB-first.
+
+        Byte k of out holds bits start + 8k .. start + 8k + 7, wrapping
+        past the end of the loop as often as needed; start must lie
+        inside the loop. The packed bytes repeat every
+        length / gcd(length, 8) of them, so one such period is read and
+        the rest of out is filled by doubling copies.
+        """
+        size, packed = self._length, self._packed
+        if not 0 <= start < size:
+            raise ValueError(f"offset {start} outside [0, {size})")
+        period = size // math.gcd(size, 8)
+        done = out.size if out.size < period else period
+        k, bit = 0, start
+        while k < done:
+            whole = min((size - bit) >> 3, done - k)
+            _read_bits(packed, bit, out[k:k + whole])
+            k += whole
+            if k == done:
+                break
+            cut = size - bit - 8 * whole
+            if cut:  # the byte over the seam: the loop's last cut bits, then its first
+                last = (int(packed[-2]) << 8 | int(packed[-1])) >> (8 * packed.size - size)
+                out[k] = last << (8 - cut) & 0xFF | int(packed[0]) >> cut
+                k += 1
+            bit = -cut % 8
+        while done < out.size:
+            step = min(done, out.size - done)
+            out[done:done + step] = out[:step]
+            done += step
 
     def fragment(self, offset: int, count: int) -> np.ndarray:
         """count bits starting at offset, wrapping as often as needed.
 
         offset must lie inside the loop; count may exceed the length.
-        Only the packed bytes the fragment covers are unpacked; whole
-        laps, if any, repeat the loop unpacked once.
+        The bits are read packed and unpacked, one bit per byte.
         """
-        size = self._length
-        if not 0 <= offset < size:
-            raise ValueError(f"offset {offset} outside [0, {size})")
         if count < 0:
             raise ValueError("count must be non-negative")
-        if offset + count <= size:
-            return self._unpack(offset, count)
-        out = np.empty(count, dtype=np.uint8)
-        head = size - offset
-        out[:head] = self._unpack(offset, head)
-        whole, tail = divmod(count - head, size)
-        if whole:
-            out[head:head + whole * size].reshape(whole, size)[:] = self.bits
-        out[count - tail:] = self._unpack(0, tail)
-        return out
+        packed = np.empty(-(-count // 8), dtype=np.uint8)
+        self.read(offset, packed)
+        return np.unpackbits(packed, count=count)
 
     def to_packed(self) -> bytes:
         """MSB-first packed bytes; pad bits in the last byte are zero."""
@@ -131,6 +147,17 @@ class RbsLoop:
 
     def __repr__(self) -> str:
         return f"RbsLoop(length={self._length})"
+
+
+def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Fill out[k] with the 8 bits of packed src that start at bit + 8k."""
+    q, r = divmod(bit, 8)
+    if r == 0:
+        out[:] = src[q:q + out.size]
+        return
+    # a uint8 multiply is the left shift numpy vectorizes; it wraps like one
+    np.multiply(src[q:q + out.size], 1 << r, out=out)
+    out |= src[q + 1:q + out.size + 1] >> (8 - r)
 
 
 def choose_offset(rng: random.Random | None, bit_length: int) -> int:

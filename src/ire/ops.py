@@ -18,7 +18,7 @@ from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
 from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
-from .keystream import RbsLoop
+from .keystream import RbsLoop, _read_bits
 
 __all__ = [
     "PAD_BYTE",
@@ -94,45 +94,29 @@ def unsubstitute(data: bytes, table: SubstitutionTable) -> bytes:
     return data.translate(table.inverse)
 
 
-def _check_length(size: int, perm: WindowPermutation, unit: str) -> None:
-    if size < perm.width:
-        raise ValueError(f"need at least {perm.width} {unit}, got {size}")
-
-
 def sliding_byte_permute(data: bytes, perm: WindowPermutation) -> bytes:
     """Apply perm to every width-wide byte window, left to right."""
-    _check_length(len(data), perm, "bytes")
     return sliding.apply_forward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
 
 
 def sliding_byte_unpermute(data: bytes, perm: WindowPermutation) -> bytes:
     """Exact inverse of sliding_byte_permute for the same perm."""
-    _check_length(len(data), perm, "bytes")
     return sliding.apply_backward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
 
 
 def sliding_bit_permute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Apply perm to every width-wide bit window, left to right."""
-    _check_length(bits.size, perm, "bits")
     return sliding.apply_forward(np.asarray(bits, dtype=np.uint8), perm.map)
 
 
 def sliding_bit_unpermute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Exact inverse of sliding_bit_permute for the same perm."""
-    _check_length(bits.size, perm, "bits")
     return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.map)
 
 
-def _check_combine(rbs: RbsLoop, offset: int, rule: str) -> None:
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}")
-    if not 0 <= offset < rbs.length:
-        raise ValueError(f"offset {offset} outside [0, {rbs.length})")
-
-
-# Bytes handled at once by the bit stage of encrypt and decrypt, and by
-# keystream_combine: small enough that a block and its temporaries stay
-# in cache, large enough that the per-block numpy calls cost little.
+# Bytes handled at once by the bit stage of encrypt and decrypt: small
+# enough that a block and its temporaries stay in cache, large enough
+# that the per-block numpy calls cost little.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -142,46 +126,16 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     Rule B gives 1 where the bits differ (plain xor); rule A gives 1
     where they are equal, the bitwise complement of rule B. Either rule
     is its own inverse for a fixed (rbs, offset, rule), which is exactly
-    how decryption undoes this stage. bits is left untouched; the copy
-    is xored in place block by block against loop fragments, which
-    unpack only the packed bytes of the loop they cover.
+    how decryption undoes this stage. bits is left untouched.
     """
-    _check_combine(rbs, offset, rule)
-    out = np.array(bits, dtype=np.uint8)
-    for k0 in range(0, out.size, _BLOCK_BYTES):  # one bit per byte here
-        block = out[k0:k0 + _BLOCK_BYTES]
-        block ^= rbs.fragment((offset + k0) % rbs.length, block.size)
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}")
+    bits = np.asarray(bits, dtype=np.uint8)
+    out = rbs.fragment(offset, bits.size)
+    out ^= bits
     if rule == RULE_A:
         out ^= 1
     return out
-
-
-def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
-    """Fill out[k] with the 8 bits of packed src that start at bit + 8k."""
-    q, r = divmod(bit, 8)
-    if r == 0:
-        out[:] = src[q:q + out.size]
-        return
-    # a uint8 multiply is the left shift numpy vectorizes; it wraps like one
-    np.multiply(src[q:q + out.size], 1 << r, out=out)
-    out |= src[q + 1:q + out.size + 1] >> (8 - r)
-
-
-def _read_key(rbs: RbsLoop, start: int, out: np.ndarray) -> None:
-    """Fill out with the packed key bits from loop bit start on, wrapping."""
-    room = rbs.length - start
-    bits = 8 * out.size
-    if bits <= room:
-        _read_bits(rbs.packed, start, out)
-    elif bits - room > rbs.length:  # a loop shorter than the block: many laps
-        out[:] = np.packbits(rbs.fragment(start, bits))
-    else:
-        head, cut = divmod(room, 8)
-        _read_bits(rbs.packed, start, out[:head])
-        if cut:  # the byte that straddles the end of the loop
-            out[head] = np.packbits(rbs.fragment(start + 8 * head, 8))[0]
-            head += 1
-        _read_bits(rbs.packed, 8 * head - room, out[head:])
 
 
 def _bit_stage(padded: np.ndarray, lead: int, out: np.ndarray, plan: sliding.ShiftPlan,
@@ -206,7 +160,7 @@ def _bit_stage(padded: np.ndarray, lead: int, out: np.ndarray, plan: sliding.Shi
     key = np.empty(min(_BLOCK_BYTES, size), dtype=np.uint8)
     for k0 in range(0, size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
-        _read_key(rbs, (offset + 8 * k0) % rbs.length, key[:block.size])
+        rbs.read((offset + 8 * k0) % rbs.length, key[:block.size])
         if not forward:  # the read below looks back into the combined input
             np.bitwise_xor(ciphertext[k0:k0 + block.size], key[:block.size],
                            out=padded[lead + k0:lead + k0 + block.size])

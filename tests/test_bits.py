@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ire.bits import bits_from_string, bits_to_bytes, bits_to_string, bytes_to_bits, popcount
+from ire.bits import bits_from_string, bits_to_bytes, bits_to_string, bytes_to_bits
 
 
 def test_msb_first_convention():
@@ -30,10 +30,6 @@ def test_string_round_trip():
 def test_bad_string():
     with pytest.raises(ValueError):
         bits_from_string("10201")
-
-
-def test_popcount():
-    assert popcount(bits_from_string("101101")) == 4
 
 
 @given(st.binary(max_size=200))

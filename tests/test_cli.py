@@ -64,9 +64,15 @@ def test_keygen_rejects_tiny_rbs(tmp_path, capsys):
 
 
 def test_keygen_rule_flag(tmp_path, capsys):
-    path = tmp_path / "k"
-    run(capsys, "keygen", "--out", str(path), "--rbs-bits", "80", "--rule", "a")
-    assert parse_keyset(path.read_bytes()).rule == "A"
+    for flag, rule in (("a", "A"), ("A", "A"), ("b", "B"), ("B", "B")):
+        path = tmp_path / flag
+        code, _, _ = run(capsys, "keygen", "--out", str(path), "--rbs-bits", "80", "--rule", flag)
+        assert code == 0
+        assert parse_keyset(path.read_bytes()).rule == rule
+    with pytest.raises(SystemExit) as excinfo:
+        main(["keygen", "--out", str(tmp_path / "c"), "--rule", "c"])
+    assert excinfo.value.code == 2
+    assert "--rule" in capsys.readouterr().err
 
 
 # --- encrypt / decrypt --------------------------------------------------------
@@ -132,6 +138,17 @@ def test_encrypt_offset_out_of_range(tmp_path, key_file, capsys):
                        "--out", str(tmp_path / "c"), "--offset", "512")
     assert code == 1
     assert "error:" in err and "offset" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_encrypt_rejects_negative_offset(tmp_path, key_file, capsys):
+    plain = tmp_path / "p"
+    plain.write_bytes(b"x")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["encrypt", "--key", key_file, "--in", str(plain), "--out", str(tmp_path / "c"),
+              "--offset", "-1"])
+    assert excinfo.value.code == 2
+    assert "--offset" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -336,6 +353,21 @@ def test_rndtest_refuses_input_under_100_bits(tmp_path, capsys):
         assert code == 1
         assert "error:" in err and "100" in err
         assert out == ""
+
+
+def test_rndtest_runs_at_100_bits(tmp_path, capsys):
+    # a raw file holds whole bytes, so its smallest accepted size is 104 bits;
+    # a key loop can hold exactly 100
+    key = tmp_path / "k"
+    run(capsys, "keygen", "--out", str(key), "--rbs-bits", "100", "--seed", "5")
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes.fromhex("5a3c96e1b20f7d48a6c3195e2b"))
+    for source, path, bits in (("--key", key, 100), ("--in", raw, 104)):
+        code, out, err = run(capsys, "rndtest", source, str(path))
+        assert code == 0
+        assert "error:" not in err
+        assert f"{bits} bits from" in out
+        assert "monobit" in out and "runs" in out
 
 
 def test_rndtest_requires_exactly_one_source(tmp_path, capsys):

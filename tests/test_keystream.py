@@ -132,6 +132,27 @@ def test_fragment_matches_unpacked_definition_at_seams(length):
             assert np.array_equal(loop.fragment(offset, count), expected), (offset, count)
 
 
+def test_packed_read_matches_unpacked_definition():
+    # starts within 8 bits of either end, and where a read ends one bit
+    # short of the seam; reads of one byte up to past two periods of
+    # length / gcd(length, 8) bytes, so the doubling fill runs
+    rng = random.Random(61)
+    for length in (80, 81, 97, 1000, 4099):
+        bits = np.array([rng.randrange(2) for _ in range(length)], dtype=np.uint8)
+        loop = RbsLoop(bits)
+        period = length // math.gcd(length, 8)
+        for nbytes in {1, 2, 13, 124, 600, period - 1, period, period + 1, 2 * period + 3}:
+            for start in {*range(9), *range(length - 9, length), length - 8 * nbytes - 1}:
+                if not 0 <= start < length:
+                    continue
+                out = np.empty(nbytes, dtype=np.uint8)
+                loop.read(start, out)
+                expected = np.packbits(bits[(start + np.arange(8 * nbytes)) % length])
+                assert np.array_equal(out, expected), (length, nbytes, start)
+        for start in (-1, length):
+            with pytest.raises(ValueError):
+                loop.read(start, np.empty(1, dtype=np.uint8))
+
 def generate_rbs_unpacked(rng, length):
     """generate_rbs written over unpacked bits; returns its packed loop and the draws it took."""
     nbytes = (length + 7) // 8

@@ -249,3 +249,19 @@ def test_memory_held_does_not_grow_with_distinct_lengths():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000, f"{held} bytes still held after {len(lengths)} lengths"
+
+
+def test_readme_library_example_runs():
+    # the example imports only from the top-level package, so it breaks
+    # when the README and the package's exports drift apart
+    import re
+    from pathlib import Path
+
+    import ire
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    imported = re.search(r"from ire import \((.*?)\)", example, re.DOTALL).group(1)
+    assert {name.strip() for name in imported.split(",") if name.strip()} <= set(ire.__all__)
+    exec(compile(example, "README.md", "exec"), {})
