@@ -32,15 +32,7 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ire",
-        description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    keygen = sub.add_parser("keygen", help="generate a keyset file")
-    keygen.set_defaults(run=run_keygen)
+def _keygen_arguments(keygen: argparse.ArgumentParser) -> None:
     keygen.add_argument("--out", required=True, metavar="PATH", help="where to write the key file")
     keygen.add_argument("--rbs-bits", type=int, default=keystream.DEFAULT_RBS_BITS, metavar="N",
                         help="random bit sequence length in bits (default %(default)s)")
@@ -49,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--seed", type=int, default=None, metavar="N",
                         help="deterministic generation for tests; NOT secure")
 
-    encrypt = sub.add_parser("encrypt", help="encrypt a file")
-    encrypt.set_defaults(run=run_encrypt)
+
+def _encrypt_arguments(encrypt: argparse.ArgumentParser) -> None:
     encrypt.add_argument("--key", required=True, metavar="PATH")
     encrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     encrypt.add_argument("--out", required=True, metavar="PATH")
@@ -61,17 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
     encrypt.add_argument("-v", "--verbose", action="store_true",
                          help="print the chosen start offset to stderr")
 
-    decrypt = sub.add_parser("decrypt", help="decrypt an envelope file")
-    decrypt.set_defaults(run=run_decrypt)
+
+def _decrypt_arguments(decrypt: argparse.ArgumentParser) -> None:
     decrypt.add_argument("--key", required=True, metavar="PATH")
     decrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     decrypt.add_argument("--out", required=True, metavar="PATH")
 
-    selftest = sub.add_parser("selftest", help="run the built-in known-answer checks")
-    selftest.set_defaults(run=run_selftest)
 
-    bench = sub.add_parser("bench", help="measure encrypt/decrypt scaling")
-    bench.set_defaults(run=run_bench)
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("--key", default=None, metavar="PATH",
                        help="keyset to bench with (default: ephemeral keyset)")
     bench.add_argument("--sizes", type=_sizes_arg, default=DEFAULT_BENCH_SIZES, metavar="N,N,...",
@@ -80,14 +69,48 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timed repetitions per size, minimum 3 (default %(default)s)")
     bench.add_argument("--csv", action="store_true", help="machine-readable output")
 
-    rndtest = sub.add_parser("rndtest", help="run randomness checks over keystream bits")
-    rndtest.set_defaults(run=run_rndtest)
+
+def _rndtest_arguments(rndtest: argparse.ArgumentParser) -> None:
     rndtest.add_argument("--key", default=None, metavar="PATH",
                          help="check the RBS inside a keyset file")
     rndtest.add_argument("--in", dest="input", default=None, metavar="PATH",
                          help="check a raw bit file (MSB-first packed bytes)")
     rndtest.add_argument("--csv", action="store_true", help="machine-readable output")
 
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments only when it runs.
+
+    argparse parses the arguments of the chosen subcommand only, and
+    adding every subcommand's up front would be most of the CLI's
+    start-up time; ire --help lists the subcommands without them.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ire",
+        description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_CommandParser)
+    for name, help_text, run, add_arguments in (
+            ("keygen", "generate a keyset file", run_keygen, _keygen_arguments),
+            ("encrypt", "encrypt a file", run_encrypt, _encrypt_arguments),
+            ("decrypt", "decrypt an envelope file", run_decrypt, _decrypt_arguments),
+            ("selftest", "run the built-in known-answer checks", run_selftest, None),
+            ("bench", "measure encrypt/decrypt scaling", run_bench, _bench_arguments),
+            ("rndtest", "run randomness checks over keystream bits", run_rndtest, _rndtest_arguments)):
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments).set_defaults(run=run)
     return parser
 
 

@@ -90,6 +90,9 @@ class RbsLoop:
         size, packed = self._length, self._packed
         if not 0 <= start < size:
             raise ValueError(f"offset {start} outside [0, {size})")
+        if start + 8 * out.size <= size:  # short of the seam
+            _read_bits(packed, start, out)
+            return
         period = size // math.gcd(size, 8)
         done = out.size if out.size < period else period
         k, bit = 0, start
@@ -149,15 +152,31 @@ class RbsLoop:
         return f"RbsLoop(length={self._length})"
 
 
+# Shifts by r bits as uint8 scalars: with a Python int operand numpy
+# takes a slower path, on every call and, for some ufuncs, per element.
+# A uint8 multiply is the left shift numpy vectorizes; it wraps like one.
+_LEFT = tuple(np.uint8(1 << r) for r in range(8))
+_RIGHT = tuple(np.uint8(8 - r) for r in range(8))
+
+
 def _read_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
     """Fill out[k] with the 8 bits of packed src that start at bit + 8k."""
     q, r = divmod(bit, 8)
     if r == 0:
         out[:] = src[q:q + out.size]
         return
-    # a uint8 multiply is the left shift numpy vectorizes; it wraps like one
-    np.multiply(src[q:q + out.size], 1 << r, out=out)
-    out |= src[q + 1:q + out.size + 1] >> (8 - r)
+    np.multiply(src[q:q + out.size], _LEFT[r], out=out)
+    out |= src[q + 1:q + out.size + 1] >> _RIGHT[r]
+
+
+def _xor_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Xor into out[k] the 8 bits of packed src that start at bit + 8k."""
+    q, r = divmod(bit, 8)
+    if r == 0:
+        out ^= src[q:q + out.size]
+        return
+    out ^= src[q:q + out.size] * _LEFT[r]
+    out ^= src[q + 1:q + out.size + 1] >> _RIGHT[r]
 
 
 def choose_offset(rng: random.Random | None, bit_length: int) -> int:

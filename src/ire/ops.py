@@ -3,9 +3,12 @@
 Six stages, each with an exact inverse: pad, substitute, sliding
 byte-window permutation, sliding bit-window permutation, keystream
 combine. encrypt composes them in that order; decrypt applies the
-inverses in reverse order. Both run the bit window and the combine as
-one pass over packed bytes (_bit_stage); the public stage functions
-compute the same stages one at a time.
+inverses in reverse order. Both run the bit window and the combine
+together over packed bytes (_bit_permute_combine and
+_combine_bit_unpermute): the window's fixups, which lie within W bits
+of the ends, are moved in an unpacked copy of the edges only, and the
+rest is one blocked pass of key reads and realigning reads. The public
+stage functions compute the same stages one at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
 from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
-from .keystream import RbsLoop, _read_bits
+from .keystream import RbsLoop, _read_bits, _xor_bits
 
 __all__ = [
     "PAD_BYTE",
@@ -138,54 +141,82 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     return out
 
 
-def _bit_stage(padded: np.ndarray, lead: int, out: np.ndarray, plan: sliding.ShiftPlan,
-               rbs: RbsLoop, offset: int, rule: str, ciphertext: np.ndarray | None = None) -> None:
-    """Bit window and keystream combine of packed bytes, written to out.
+def _edge_bytes(size: int, width: int) -> tuple[int, int]:
+    """Bytes at the head and at the tail of a buffer of size >= W/8 bytes
+    that hold every fixup of a W-bit window: ceil(W/8) at each end, or,
+    when those would overlap, the whole buffer split between the two."""
+    tail = -(-width // 8)
+    return min(tail, size - tail), tail
 
-    Encrypt (ciphertext None) permutes, then combines; its input already
-    sits at padded[lead:lead + out.size]. Decrypt combines, then
-    unpermutes: each block of ciphertext is xored with the key straight
-    into that place in padded. lead is at least ceil(plan.slack / 8),
-    and zero bytes follow the input to the end of padded, at least
-    lead + 1 of them. Either way output bit j is input bit j + shift,
-    combined with key bit offset + j forward and offset + j + shift
-    backward, except at the plan's fixups. So the stage is a key xor and
-    a realigning read of packed bytes per block, then one key-free xor
-    patch over the first and last W output bits: at each fixup, the
-    input bit it takes xored with the one the block read put there.
+
+def _bit_permute_combine(buf: np.ndarray, lead: int, out: np.ndarray, plan: sliding.ShiftPlan,
+                         rbs: RbsLoop, offset: int, rule: str) -> None:
+    """Bit window, then keystream combine, of the packed bytes at
+    buf[lead:lead + out.size], written to out.
+
+    Output bit j is input bit j + slack, except at the plan's fixups.
+    So the fixups are first written into buf at the bits where that
+    read fetches them, as the in-place kernels do; this unpacks only the
+    edges of the input and the ceil(slack / 8) bytes after it, which
+    buf must hold. Their contents do not matter: the read takes from
+    them only the last slack output bits, and those are all fixups.
+    After that each block is one key read and one realigning xor of
+    packed bytes.
     """
-    size = out.size
-    forward = ciphertext is None
-    shift = plan.slack if forward else -plan.slack
-    key = np.empty(min(_BLOCK_BYTES, size), dtype=np.uint8)
+    size, slack = out.size, plan.slack
+    head, tail = _edge_bytes(size, plan.width)
+    end, margin = lead + size, -(-slack // 8)
+    edges = np.unpackbits(np.concatenate((buf[lead:lead + head], buf[end - tail:end + margin])))
+    # Indexed from either end, edges[:cells] reads like the whole input,
+    # and edges[slack:cells + slack] like the bits the read fetches.
+    cells = 8 * (head + tail)
+    src, dst = plan.fixups(8 * size)
+    edges[slack:cells + slack][dst] = edges[:cells][src]
+    edges = np.packbits(edges)
+    buf[lead:lead + head] = edges[:head]
+    buf[end - tail:end + margin] = edges[head:]
     for k0 in range(0, size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
-        rbs.read((offset + 8 * k0) % rbs.length, key[:block.size])
-        if not forward:  # the read below looks back into the combined input
-            np.bitwise_xor(ciphertext[k0:k0 + block.size], key[:block.size],
-                           out=padded[lead + k0:lead + k0 + block.size])
-        _read_bits(padded, 8 * (lead + k0) + shift, block)
-        if forward:
-            block ^= key[:block.size]
+        rbs.read((offset + 8 * k0) % rbs.length, block)
+        _xor_bits(buf, 8 * (lead + k0) + slack, block)
         if rule == RULE_A:
-            block ^= 0xFF
+            np.invert(block, out=block)
+
+
+def _combine_bit_unpermute(ciphertext: np.ndarray, combined: np.ndarray, lead: int, out: np.ndarray,
+                           plan: sliding.ShiftPlan, rbs: RbsLoop, offset: int, rule: str) -> None:
+    """Keystream combine, then inverse bit window, of ciphertext, written
+    to out; the combined bits are left at combined[lead:].
+
+    Each block of ciphertext is xored with the key into combined, and
+    out reads it back realigned: output bit j is combined bit j - slack,
+    except at the plan's fixups. The read of the first block starts up
+    to ceil(slack / 8) bytes before combined[lead], whose contents do
+    not matter: they reach only the first slack output bits, and the
+    first W are all fixups. The fixups are then written into out from
+    the edges of combined; no key is needed for them.
+    """
+    size, slack = out.size, plan.slack
+    for k0 in range(0, size, _BLOCK_BYTES):
+        block = out[k0:k0 + _BLOCK_BYTES]
+        into = combined[lead + k0:lead + k0 + block.size]
+        rbs.read((offset + 8 * k0) % rbs.length, into)
+        into ^= ciphertext[k0:k0 + block.size]
+        if rule == RULE_A:
+            np.invert(into, out=into)
+        _read_bits(combined, 8 * (lead + k0) - slack, block)
+    head, tail = _edge_bytes(size, plan.width)
+    end = lead + size
+    edges = np.unpackbits(np.concatenate((combined[lead:lead + head], combined[end - tail:end],
+                                          out[:head], out[size - tail:])))
+    # Indexed from either end, edges[:cells] reads like the combined bits
+    # and edges[cells:] like the output.
+    cells = 8 * (head + tail)
     src, dst = plan.fixups(8 * size)
-    to, source = (dst, src) if forward else (src, dst)
-    # The input bits at both ends, from lead bytes before the input to
-    # lead bytes after it. Sliced from 8 * lead + s, edges reads input
-    # bit j + s at index j >= 0 and bit n + j + s at index j < 0, which
-    # is how the fixup tables count.
-    reach = -(-(plan.width + plan.slack) // 8)
-    edges = np.unpackbits(np.concatenate((
-        padded[:lead + reach], padded[lead + size - reach:2 * lead + size])))
-    inner = edges.size - 8 * lead
-    delta = edges[8 * lead:inner][source] ^ edges[8 * lead + shift:inner + shift][to]
-    half = -(-plan.width // 8)
-    patch = np.zeros(16 * half, dtype=np.uint8)
-    patch[to] = delta
-    patch = np.packbits(patch)
-    out[:half] ^= patch[:half]
-    out[size - half:] ^= patch[half:]
+    edges[cells:][src] = edges[:cells][dst]
+    edges = np.packbits(edges[cells:])
+    out[:head] = edges[:head]
+    out[size - tail:] = edges[head:]
 
 
 def _check_offset(offset: int, rbs: RbsLoop) -> None:
@@ -207,15 +238,15 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     byte_plan = sliding.shift_plan(keyset.byte_perm.map)
     bit_plan = sliding.shift_plan(keyset.bit_perm.map)
     n = len(padded.data)
-    # room before the input for the byte window's slack and the bit window's
-    lead = max(byte_plan.slack, -(-bit_plan.slack // 8))
-    buf = np.empty(2 * lead + n + 1, dtype=np.uint8)
-    buf[lead + n:] = 0
-    start = lead - byte_plan.slack
-    buf[start:start + n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
-    sliding.permute_in_place(buf[start:lead + n], byte_plan)
+    # The byte window reads the substituted bytes at buf[:n] and leaves
+    # its output at buf[lead:lead + n]; the bit window reads up to
+    # ceil(slack / 8) bytes past that, which it fills itself.
+    lead = byte_plan.slack
+    buf = np.empty(lead + n - (-bit_plan.slack // 8), dtype=np.uint8)
+    buf[:n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
+    sliding.permute_in_place(buf[:lead + n], byte_plan)
     payload = np.empty(n, dtype=np.uint8)
-    _bit_stage(buf, lead, payload, bit_plan, keyset.rbs, offset, keyset.rule)
+    _bit_permute_combine(buf, lead, payload, bit_plan, keyset.rbs, offset, keyset.rule)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
@@ -239,11 +270,10 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
     n = len(envelope.payload)
     lead = -(-bit_plan.slack // 8)
     buf = np.empty(byte_plan.slack + n, dtype=np.uint8)
-    padded = np.empty(2 * lead + n + 1, dtype=np.uint8)
-    padded[:lead] = 0
-    padded[lead + n:] = 0
-    _bit_stage(padded, lead, buf[byte_plan.slack:], bit_plan, keyset.rbs, envelope.start_offset,
-               keyset.rule, ciphertext=np.frombuffer(envelope.payload, dtype=np.uint8))
-    del padded  # not held beside the copies below
+    combined = np.empty(lead + n, dtype=np.uint8)
+    _combine_bit_unpermute(np.frombuffer(envelope.payload, dtype=np.uint8), combined, lead,
+                           buf[byte_plan.slack:], bit_plan, keyset.rbs, envelope.start_offset,
+                           keyset.rule)
+    del combined  # not held beside the copies below
     descrambled = sliding.unpermute_in_place(buf, byte_plan).tobytes()
     return unpad(PaddedMessage(unsubstitute(descrambled, keyset.sub), envelope.pad_count))

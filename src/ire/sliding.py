@@ -33,9 +33,12 @@ period p rides along to the final window, where it lands at a place
 that depends only on the number of slides modulo p.
 
 So every fixup lies within W of an end of the buffer, and a ShiftPlan
-holds them all, computed from the map alone: the sources, the tail
-landings, the retire steps and, per cycle period p, p rows of landings.
-Per call, fixups(n) slices those tables. The interior costs no data
+holds them all, computed from the map alone in O(W): one row of W + R
+sources and one of their landings, the retire steps and tail landings
+as they are and the cycles' landings in ring order. The number of
+slides n-W moves a cycle value j places along its ring to
+(j + n-W) % p, so per call fixups(n) reads every landing with four
+vector operations, whatever the periods. The interior costs no data
 movement at all: the kernels work in place on a buffer with |shift|
 spare cells, and return the output as a view offset by |shift| from the
 input, so every interior value already sits where it belongs and only
@@ -121,8 +124,10 @@ def _offset_walk(g: Sequence[int], start: int) -> list[int]:
     """Offsets visited by the walk r -> g[r]-1 from start, up to the
     offset that retires (g[r] == 0) or the last before start recurs."""
     seq = [start]
-    while g[seq[-1]] != 0 and g[seq[-1]] - 1 != start:
-        seq.append(g[seq[-1]] - 1)
+    r = g[start] - 1
+    while r >= 0 and r != start:
+        seq.append(r)
+        r = g[r] - 1
     return seq
 
 
@@ -133,12 +138,17 @@ class ShiftPlan:
     values listed by fixups(n). slack = -shift is the number of spare
     cells the in-place kernels need.
 
-    The tables count indices in the last W of the buffer from its end
-    (negative), the rest from its start, so they do not depend on n;
-    fixups(n) only slices and concatenates them. They hold under
-    4W + slack^2 entries in all (at most W^2 from W = 4 on), as intp,
-    the type numpy indexes with: narrower types would be converted on
-    every call.
+    The plan holds five rows of W + R entries, one entry per source: its
+    index, counted from the end of the buffer (negative) for the last R
+    values and from the start for the rest, so that it does not depend
+    on n; the start of its cycle in the landings row, its position j in
+    that cycle and the period p, with start its own entry, j = 0 and
+    p = 1 off the cycles; and the landings. Those are each off-cycle
+    source's own landing and, cycle by cycle in ring order, where the
+    value at each cycle offset lands when the final window applies. With
+    budget = n - W slides, a source lands at landing[start + (j + budget)
+    % p]. The rows are read-only intp, the type numpy indexes with:
+    narrower types would be converted on every call.
     """
 
     def __init__(self, pmap: Sequence[int]):
@@ -149,48 +159,57 @@ class ShiftPlan:
         self.width = width
         self.retire = retire
         self.slack = width - 1 - retire
-        # The offsets off the entry path form cycles of the walk; group
-        # them by period, since a period-p cycle repeats every p steps.
-        cycles: dict[int, list[list[int]]] = {}
-        seen = set(path)
-        for a in range(width):
-            if a not in seen:
-                cycle = _offset_walk(g, a)
-                seen.update(cycle)
-                cycles.setdefault(len(cycle), []).append(cycle)
-        ring = [a for period in sorted(cycles) for cycle in cycles[period] for a in cycle]
-        # Sources: the first window's values (entry path order, then the
-        # cycles), then the value d places from the end for d < R.
-        self._src = np.array(path + ring + [-1 - d for d in range(retire)], dtype=np.intp)
-        # The value d places from the end entered at offset W-1 and sits
-        # at offset path[d] when the final window, starting at n-W,
-        # applies. So does the first window's value path[i] when
-        # i + (n-W) = d; with i + (n-W) >= R it retired at step R - i.
-        self._tail_dst = np.array([g[r] - width for r in path[:retire]], dtype=np.intp)
-        self._retire_dst = np.arange(retire, -1, -1, dtype=np.intp)
-        # A cycle's value that starts at cycle position j sits at
-        # position (j + budget) % p when the final window applies, so
-        # the landings of period p take p rows, one per budget % p.
-        self._landing = [
-            (period, np.array([[g[cycle[(j + b) % period]] - width
-                                for cycle in cycles[period] for j in range(period)]
-                               for b in range(period)], dtype=np.intp))
-            for period in sorted(cycles)
-        ]
+        # The offsets off the entry path form cycles of the walk. A value
+        # that starts at position j of a period-p cycle sits at position
+        # (j + budget) % p when the final window applies. order lists the
+        # first window's offsets: the entry path, then cycle by cycle.
+        order = list(path)
+        ring_start, ring_period = [], []
+        remaining = set(range(width)).difference(path)
+        while remaining:
+            cycle = _offset_walk(g, remaining.pop())
+            remaining.difference_update(cycle)
+            ring_start += [len(order)] * len(cycle)
+            ring_period += [len(cycle)] * len(cycle)
+            order += cycle
+        # Sources: the first window's values, then the value d places
+        # from the end for d < R. The first window's value path[i]
+        # retires at step R - i, at index R - i; the value d places from
+        # the end entered at offset W-1 and sits at offset path[d] when
+        # the final window applies, as does a cycle value at its offset.
+        rows = np.empty((5, width + retire), dtype=np.intp)
+        src, landing, start, pos, period = rows
+        src[:width] = order
+        src[width:] = np.arange(-1, -1 - retire, -1)
+        landing[:] = list(range(retire, -1, -1)) + [
+            g[r] - width for r in order[retire + 1:] + path[:retire]]
+        index = np.arange(width + retire)
+        start[:] = index
+        start[retire + 1:width] = ring_start
+        period[:] = 1
+        period[retire + 1:width] = ring_period
+        np.subtract(index, start, out=pos)
+        rows.setflags(write=False)
+        self._src, self._landing, self._start, self._pos, self._period = rows
 
     def fixups(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Origin and final index of every value a pass over n values
         does not move by the constant shift: the first window's W values
         and the last min(R, n-W). Indices below zero count from the end."""
-        budget = n - self.width
+        width, retire = self.width, self.retire
+        budget = n - width
         if budget < 0:
-            raise ValueError(f"buffer holds {n} values, need at least {self.width}")
-        cut = min(self.retire, budget)
-        dst = np.concatenate((
-            self._tail_dst[cut:], self._retire_dst[self.retire - cut:],
-            *(table[budget % period] for period, table in self._landing),
-            self._tail_dst[:cut]))
-        return self._src[:self.width + cut], dst
+            raise ValueError(f"buffer holds {n} values, need at least {width}")
+        dst = self._landing[(self._pos + budget) % self._period + self._start]
+        if budget >= retire:
+            return self._src, dst
+        # The final window cuts short the walks of the entry path's first
+        # R - budget values, which stop where a tail value would: the
+        # value path[i] lands where the value i + budget places from the
+        # end does. Only budget tail values exist.
+        dst = dst[:width + budget]
+        dst[:retire - budget] = self._landing[width + budget:width + retire]
+        return self._src[:width + budget], dst
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,7 @@
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +379,34 @@ def test_rndtest_requires_exactly_one_source(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["rndtest", "--key", "k", "--in", "i"])
     assert excinfo.value.code == 2
+
+
+# --- usage ------------------------------------------------------------------
+
+def _usage_cases():
+    """(argv, exit code, stdout, stderr) for each section of cli_usage.txt."""
+    text = (Path(__file__).parent / "cli_usage.txt").read_text()
+    for section in text.split("=== ire")[1:]:
+        header, rest = section.split("\n", 1)
+        code, rest = rest.removeprefix("--- exit ").split("\n", 1)
+        out, err = rest.removeprefix("--- stdout\n").split("--- stderr\n")
+        yield header.split(), int(code), out, err
+
+
+_USAGE_CASES = list(_usage_cases())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="usage text captured under Python 3.11")
+@pytest.mark.parametrize("argv, code, out, err", _USAGE_CASES,
+                         ids=[" ".join(case[0]) or "no arguments" for case in _USAGE_CASES])
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, code, out, err):
+    # the subcommands' arguments are added only to the one that runs;
+    # ire --help, each ire <cmd> --help and the usage errors must read
+    # as they did when every subcommand was built up front
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)

@@ -24,6 +24,7 @@ from ire.keymat import (
 )
 from ire.keystream import RbsLoop
 from ire.ops import decrypt, encrypt
+from ire.sliding import shift_plan
 from test_sliding import _map_with_cycles
 
 
@@ -120,6 +121,35 @@ def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
                 env = encrypt(message, extreme, offset)
                 assert env.payload == _composed_payload(message, extreme, offset), (rule, n, bit_map)
                 assert decrypt(env, extreme) == message
+
+
+@pytest.mark.parametrize("rule", [RULE_A, RULE_B])
+@pytest.mark.parametrize("byte_cycles, bit_cycles", [((), ()), ((), (79,)), ((9,), ()), ((9,), (79,))],
+                         ids=["slack 0 0", "slack 0 79", "slack 9 0", "slack 9 79"])
+def test_edge_fixups_match_public_stages_and_reference(byte_cycles, bit_cycles, rule):
+    # the bit window's fixups are written at the edges of packed bytes
+    # (encrypt) or of the output (decrypt); check every short length,
+    # where the edges meet, and lengths around one block, with the least
+    # and the most slack in either window, at offsets near the loop's end
+    rng = random.Random(97 + len(byte_cycles) + len(bit_cycles))
+    base = generate_keyset(rng, rbs_bits=4099, rule=rule)
+    keyset = KeySet(base.sub, WindowPermutation(10, _map_with_cycles(10, byte_cycles, rng)),
+                    WindowPermutation(80, _map_with_cycles(80, bit_cycles, rng)), base.rbs, rule)
+    assert shift_plan(keyset.byte_perm.map).slack == sum(byte_cycles)
+    assert shift_plan(keyset.bit_perm.map).slack == sum(bit_cycles)
+    loop = keyset.rbs.length
+    offsets = [0, loop - 1, loop - 4, loop - 8]
+    block_bytes = ops._BLOCK_BYTES
+    for n in [*range(10, 97), block_bytes - 1, block_bytes, block_bytes + 1, block_bytes + 10]:
+        message = rng.randbytes(n)
+        for offset in offsets:
+            env = encrypt(message, keyset, offset)
+            assert env.payload == _composed_payload(message, keyset, offset), (n, offset)
+            assert decrypt(env, keyset) == message, (n, offset)
+        if n <= 96:
+            offset = offsets[n % len(offsets)]
+            reference, _pad_count = oracles.encrypt_reference(message, keyset, offset)
+            assert encrypt(message, keyset, offset).payload == reference, (n, offset)
 
 
 def test_round_trip_across_lengths(small_keyset):

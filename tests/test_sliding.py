@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ire.sliding import (
+    ShiftPlan,
     apply_backward,
     apply_forward,
     global_index_map,
@@ -274,8 +275,7 @@ def _positions_for_every_length(pmap, longest):
 
 
 def _table_entries(plan):
-    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    return sum(a.size for a in arrays) + sum(table.size for _period, table in plan._landing)
+    return sum(v.size for v in vars(plan).values() if isinstance(v, np.ndarray))
 
 
 @pytest.mark.parametrize("width, cycle_sets", [
@@ -290,8 +290,8 @@ def test_fixup_tables_match_the_window_pass(width, cycle_sets):
     for pmap, periods in zip(maps, cycle_sets + [None, None]):
         plan = shift_plan(pmap)
         if periods is not None:
-            assert sorted(p for p, table in plan._landing for _ in range(table.shape[1] // p)) \
-                == sorted(periods)
+            ring = slice(plan.retire + 1, width)
+            assert sorted(plan._period[ring][plan._pos[ring] == 0].tolist()) == sorted(periods)
         assert _table_entries(plan) <= width * width, (pmap, _table_entries(plan))
         positions = _positions_for_every_length(pmap, longest)
         out = naive_sliding_permute(range(longest), pmap)
@@ -306,3 +306,27 @@ def test_fixup_tables_match_the_window_pass(width, cycle_sets):
             expected = np.arange(n) - plan.slack
             expected[src] = dst % n
             assert np.array_equal(expected, sigma), (pmap, n)
+
+
+@pytest.mark.parametrize("width, periods", [
+    (10, ()), (10, (1,)), (10, (2,)), (10, (9,)), (10, (1,) * 9), (10, None),
+    (80, ()), (80, (1,)), (80, (2,)), (80, (31,)), (80, (79,)), (80, (1,) * 79),
+    (80, (2,) * 39), (80, (1, 2, 31)), (80, None),
+])
+def test_closed_form_fixups_match_the_window_pass(width, periods):
+    # fixups(n) reads every landing from one row of W + R, at
+    # start + (j + n - W) % p; n from W to W + 399 takes each budget
+    # residue of these periods, and budgets on both sides of R
+    rng = random.Random(89 + width + len(periods or ()))
+    if periods is None:
+        pmap = tuple(rng.sample(range(width), width))
+    else:
+        pmap = _map_with_cycles(width, periods, rng)
+    plan = ShiftPlan(pmap)
+    rows = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert rows and all(row.shape == (width + plan.retire,) for row in rows)
+    for n, sigma in _positions_for_every_length(pmap, width + 400).items():
+        src, dst = plan.fixups(n)
+        expected = np.arange(n) - plan.slack
+        expected[src] = dst % n
+        assert np.array_equal(expected, sigma), (pmap, n)
