@@ -20,6 +20,7 @@ __all__ = [
     "monobit_verdict",
     "runs_test",
     "runs_verdict",
+    "count_ones",
     "packed_bit_counts",
     "LineFit",
     "BenchPoint",
@@ -94,17 +95,29 @@ def runs_verdict(ones: int, transitions: int, n: int) -> TestVerdict:
     return _verdict(statistic, math.erfc(statistic))
 
 
+def count_ones(packed: np.ndarray) -> int:
+    """Set bits among one-dimensional uint8 values.
+
+    Whole eight-byte words are counted as uint64: summing one count per
+    word instead of one per byte is most of the saving.
+    """
+    packed = np.ascontiguousarray(packed)
+    words = packed.size >> 3
+    return (int(np.bitwise_count(packed[:8 * words].view(np.uint64)).sum())
+            + int(np.bitwise_count(packed[8 * words:]).sum()))
+
+
 def packed_bit_counts(packed: np.ndarray, n: int) -> tuple[int, int]:
     """Ones, and adjacent pairs that differ, among the first n bits of
     MSB-first packed bytes whose bits after the n-th are zero; the
     arguments monobit_verdict and runs_verdict take, without unpacking."""
-    ones = int(np.bitwise_count(packed).sum())
+    ones = count_ones(packed)
     # the bits one place on; a uint8 multiply is the left shift numpy vectorizes
     later = np.multiply(packed, 2, dtype=np.uint8)
     later[:-1] |= packed[1:] >> 7
     later ^= packed
     later[-1] &= 0xFF << (8 - (n - 1) % 8) & 0xFF  # pairs (j, j+1) with j < n-1 only
-    return ones, int(np.bitwise_count(later).sum())
+    return ones, count_ones(later)
 
 
 @dataclass(frozen=True)

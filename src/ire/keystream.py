@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from .analysis import MIN_TEST_BITS, monobit_verdict
+from .analysis import MIN_TEST_BITS, count_ones, monobit_verdict
 from .entropy import resolve_rng
 from .errors import GenerationError
 
@@ -210,8 +210,7 @@ def generate_rbs(rng: random.Random | None = None, bit_length: int = DEFAULT_RBS
     for _ in range(_MONOBIT_ATTEMPTS):
         packed = _random_bits(rng, bit_length)
         # pad bits are zero, so the ones of the packed bytes are the loop's
-        if bit_length < MIN_TEST_BITS or monobit_verdict(
-                int(np.bitwise_count(packed).sum()), bit_length).passed:
+        if bit_length < MIN_TEST_BITS or monobit_verdict(count_ones(packed), bit_length).passed:
             return RbsLoop._wrap(packed, bit_length)
     raise GenerationError(
         f"monobit gate rejected {_MONOBIT_ATTEMPTS} candidate loops in a row; "

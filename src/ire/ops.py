@@ -3,16 +3,21 @@
 Six stages, each with an exact inverse: pad, substitute, sliding
 byte-window permutation, sliding bit-window permutation, keystream
 combine. encrypt composes them in that order; decrypt applies the
-inverses in reverse order. Both run the bit window and the combine
-together over packed bytes (_bit_permute_combine and
-_combine_bit_unpermute): the window's fixups, which lie within W bits
-of the ends, are moved in an unpacked copy of the edges only, and the
-rest is one blocked pass of key reads and realigning reads. The public
-stage functions compute the same stages one at a time.
+inverses in reverse order. Past the substitution, each call allocates
+one array the size of the message and makes one blocked pass over it.
+Away from the ends of the message both windows are fixed shifts, so
+encrypt xors the key with a realigning read of the substituted bytes
+(_scramble), and decrypt xors the ciphertext, realigned, into the key
+read from an earlier offset, which leaves the substituted bytes
+(_unscramble). Every fixup of either window lies within a few bytes of
+an end; those are computed apart, from the message's first and last
+bytes only. The public stage functions compute the same stages one at
+a time.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,7 @@ from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
 from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
-from .keystream import RbsLoop, _read_bits, _xor_bits
+from .keystream import RbsLoop, _xor_bits
 
 __all__ = [
     "PAD_BYTE",
@@ -141,82 +146,109 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     return out
 
 
-def _edge_bytes(size: int, width: int) -> tuple[int, int]:
-    """Bytes at the head and at the tail of a buffer of size >= W/8 bytes
-    that hold every fixup of a W-bit window: ceil(W/8) at each end, or,
-    when those would overlap, the whole buffer split between the two."""
-    tail = -(-width // 8)
-    return min(tail, size - tail), tail
+def _edge(byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan) -> int:
+    """Bytes at each end of a message that hold every fixup of either window."""
+    return max(byte_plan.width, -(-bit_plan.width // 8))
 
 
-def _bit_permute_combine(buf: np.ndarray, lead: int, out: np.ndarray, plan: sliding.ShiftPlan,
-                         rbs: RbsLoop, offset: int, rule: str) -> None:
-    """Bit window, then keystream combine, of the packed bytes at
-    buf[lead:lead + out.size], written to out.
+def _scramble(substituted: bytes, byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan,
+              rbs: RbsLoop, offset: int, rule: str) -> np.ndarray:
+    """Byte window, bit window and keystream combine of the substituted
+    bytes t, as one new array of their size.
 
-    Output bit j is input bit j + slack, except at the plan's fixups.
-    So the fixups are first written into buf at the bits where that
-    read fetches them, as the in-place kernels do; this unpacks only the
-    edges of the input and the ceil(slack / 8) bytes after it, which
-    buf must hold. Their contents do not matter: the read takes from
-    them only the last slack output bits, and those are all fixups.
-    After that each block is one key read and one realigning xor of
-    packed bytes.
+    Payload bit j is key bit j xored with bit j + 8L + S of t, L and S
+    being the byte and the bit window's slack, wherever no fixup of
+    either window reaches it: from byte edge on, and up to edge +
+    ceil(S / 8) bytes from the end, as the read runs ceil(S / 8) bytes
+    ahead. Each block of the payload is one key read and one
+    realigning xor of t. The edges run both windows in a small copy of
+    t's first and last bytes, laid out as the in-place kernels expect,
+    and their realigned bits are xored in at the end; when the two ends
+    meet, the copy is all of t.
     """
-    size, slack = out.size, plan.slack
-    head, tail = _edge_bytes(size, plan.width)
-    end, margin = lead + size, -(-slack // 8)
-    edges = np.unpackbits(np.concatenate((buf[lead:lead + head], buf[end - tail:end + margin])))
-    # Indexed from either end, edges[:cells] reads like the whole input,
-    # and edges[slack:cells + slack] like the bits the read fetches.
-    cells = 8 * (head + tail)
-    src, dst = plan.fixups(8 * size)
-    edges[slack:cells + slack][dst] = edges[:cells][src]
-    edges = np.packbits(edges)
-    buf[lead:lead + head] = edges[:head]
-    buf[end - tail:end + margin] = edges[head:]
-    for k0 in range(0, size, _BLOCK_BYTES):
-        block = out[k0:k0 + _BLOCK_BYTES]
+    t = np.frombuffer(substituted, dtype=np.uint8)
+    n, lead, slack = t.size, byte_plan.slack, bit_plan.slack
+    edge, margin = _edge(byte_plan, bit_plan), -(-slack // 8)
+    head, tail = edge + margin + lead, edge + margin
+    if head + tail > n:
+        head, tail = n, 0
+    lo, hi = (edge, n - tail) if tail else (n, n)  # the interior, read straight from t
+    payload = np.empty(n, dtype=np.uint8)
+    for k0 in range(0, n, _BLOCK_BYTES):
+        block = payload[k0:k0 + _BLOCK_BYTES]
         rbs.read((offset + 8 * k0) % rbs.length, block)
-        _xor_bits(buf, 8 * (lead + k0) + slack, block)
         if rule == RULE_A:
             np.invert(block, out=block)
+        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
+        if a0 < a1:
+            _xor_bits(t, 8 * (a0 + lead) + slack, payload[a0:a1])
+    # edges[:cells] stands for t, edges[lead:lead + cells] for the byte
+    # window's output, and that output's bits from slack on for the bit
+    # window's; the spare bytes after t take the shifts.
+    cells = head + tail
+    edges = np.empty(cells + lead + margin, dtype=np.uint8)
+    edges[:head] = t[:head]
+    edges[head:cells] = t[n - tail:]
+    sliding.permute_in_place(edges[:cells + lead], byte_plan, n)
+    bits = np.unpackbits(edges[lead:])
+    sliding.permute_in_place(bits[:8 * cells + slack], bit_plan, 8 * n)
+    edges = np.packbits(bits[slack:slack + 8 * cells])
+    first, last = payload[:lo], payload[hi:]
+    first ^= edges[:lo]
+    last ^= edges[cells - last.size:]
+    return payload
 
 
-def _combine_bit_unpermute(ciphertext: np.ndarray, combined: np.ndarray, lead: int, out: np.ndarray,
-                           plan: sliding.ShiftPlan, rbs: RbsLoop, offset: int, rule: str) -> None:
-    """Keystream combine, then inverse bit window, of ciphertext, written
-    to out; the combined bits are left at combined[lead:].
+def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan,
+                rbs: RbsLoop, offset: int, rule: str) -> bytes:
+    """Keystream combine, inverse bit window and inverse byte window of
+    the ciphertext: the substituted bytes.
 
-    Each block of ciphertext is xored with the key into combined, and
-    out reads it back realigned: output bit j is combined bit j - slack,
-    except at the plan's fixups. The read of the first block starts up
-    to ceil(slack / 8) bytes before combined[lead], whose contents do
-    not matter: they reach only the first slack output bits, and the
-    first W are all fixups. The fixups are then written into out from
-    the edges of combined; no key is needed for them.
+    One working array stands for both inverse windows' buffers at once:
+    work[a] is byte a of the inverse byte window's output, work[L + b]
+    byte b of its input, and bit 8L + S + j of work bit j of the
+    combined bits, the inverse bit window's input, L and S being the
+    byte and the bit window's slack. So each block is one key read from
+    offset - 8L - S and one realigning xor of the ciphertext, and the
+    in-place kernels then write only the fixups, from the unpacked edges
+    of work for the bit window and within work for the byte window.
     """
-    size, slack = out.size, plan.slack
-    for k0 in range(0, size, _BLOCK_BYTES):
-        block = out[k0:k0 + _BLOCK_BYTES]
-        into = combined[lead + k0:lead + k0 + block.size]
-        rbs.read((offset + 8 * k0) % rbs.length, into)
-        into ^= ciphertext[k0:k0 + block.size]
+    cipher = np.frombuffer(ciphertext, dtype=np.uint8)
+    n, lead, slack = cipher.size, byte_plan.slack, bit_plan.slack
+    whole, part = divmod(slack, 8)
+    margin = whole + (part > 0)
+    # Allocated at least as large as a bytes object of the message, so
+    # that the unsubstituted bytes, made once it is freed, can take its
+    # memory: at 1 MiB the heap would otherwise grow and shrink by a
+    # page-faulted megabyte on every other call.
+    work = np.empty(max(n + lead + margin, sys.getsizeof(ciphertext)), dtype=np.uint8)[:n + lead + margin]
+    start = (offset - 8 * lead - slack) % rbs.length
+    lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
+    for k0 in range(0, n, _BLOCK_BYTES):
+        # the last block also takes the spare bytes after the message
+        block = work[k0:k0 + _BLOCK_BYTES if n - k0 > _BLOCK_BYTES else work.size]
+        rbs.read((start + 8 * k0) % rbs.length, block)
         if rule == RULE_A:
-            np.invert(into, out=into)
-        _read_bits(combined, 8 * (lead + k0) - slack, block)
-    head, tail = _edge_bytes(size, plan.width)
-    end = lead + size
-    edges = np.unpackbits(np.concatenate((combined[lead:lead + head], combined[end - tail:end],
-                                          out[:head], out[size - tail:])))
-    # Indexed from either end, edges[:cells] reads like the combined bits
-    # and edges[cells:] like the output.
-    cells = 8 * (head + tail)
-    src, dst = plan.fixups(8 * size)
-    edges[cells:][src] = edges[:cells][dst]
-    edges = np.packbits(edges[cells:])
-    out[:head] = edges[:head]
-    out[size - tail:] = edges[head:]
+            np.invert(block, out=block)
+        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
+        if a0 < a1:
+            _xor_bits(cipher, 8 * (a0 - lead) - slack, work[a0:a1])
+    if part:  # the first and the last byte it covers in part
+        work[lo - 1] ^= ciphertext[0] >> part
+        work[hi] ^= ciphertext[-1] << (8 - part) & 0xFF
+    # the bit window's buffer: its n + margin bytes, of which the edges
+    # hold every fixup
+    buf = work[lead:]
+    edge = _edge(byte_plan, bit_plan)
+    head, tail = edge, edge + margin
+    if head + tail > buf.size:
+        head, tail = buf.size, 0
+    edges = np.unpackbits(np.concatenate((buf[:head], buf[buf.size - tail:])))
+    sliding.unpermute_in_place(edges[:8 * (head + tail - margin) + slack], bit_plan, 8 * n)
+    edges = np.packbits(edges)
+    buf[:head] = edges[:head]
+    buf[buf.size - tail:] = edges[head:]
+    return sliding.unpermute_in_place(work[:n + lead], byte_plan).tobytes()
 
 
 def _check_offset(offset: int, rbs: RbsLoop) -> None:
@@ -229,24 +261,12 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
 
     Deterministic for a fixed (message, keyset, offset). Callers wanting
     distinct ciphertexts per send must draw a fresh offset each time. An
-    offset outside the loop raises OffsetError. The substituted bytes
-    land in the bit stage's input buffer, where the byte window runs in
-    place.
+    offset outside the loop raises OffsetError.
     """
     _check_offset(offset, keyset.rbs)
     padded = pad(message)
-    byte_plan = sliding.shift_plan(keyset.byte_perm.map)
-    bit_plan = sliding.shift_plan(keyset.bit_perm.map)
-    n = len(padded.data)
-    # The byte window reads the substituted bytes at buf[:n] and leaves
-    # its output at buf[lead:lead + n]; the bit window reads up to
-    # ceil(slack / 8) bytes past that, which it fills itself.
-    lead = byte_plan.slack
-    buf = np.empty(lead + n - (-bit_plan.slack // 8), dtype=np.uint8)
-    buf[:n] = np.frombuffer(substitute(padded.data, keyset.sub), dtype=np.uint8)
-    sliding.permute_in_place(buf[:lead + n], byte_plan)
-    payload = np.empty(n, dtype=np.uint8)
-    _bit_permute_combine(buf, lead, payload, bit_plan, keyset.rbs, offset, keyset.rule)
+    payload = _scramble(substitute(padded.data, keyset.sub), sliding.shift_plan(keyset.byte_perm.map),
+                        sliding.shift_plan(keyset.bit_perm.map), keyset.rbs, offset, keyset.rule)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
@@ -265,15 +285,7 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     _check_offset(envelope.start_offset, keyset.rbs)
-    byte_plan = sliding.shift_plan(keyset.byte_perm.map)
-    bit_plan = sliding.shift_plan(keyset.bit_perm.map)
-    n = len(envelope.payload)
-    lead = -(-bit_plan.slack // 8)
-    buf = np.empty(byte_plan.slack + n, dtype=np.uint8)
-    combined = np.empty(lead + n, dtype=np.uint8)
-    _combine_bit_unpermute(np.frombuffer(envelope.payload, dtype=np.uint8), combined, lead,
-                           buf[byte_plan.slack:], bit_plan, keyset.rbs, envelope.start_offset,
-                           keyset.rule)
-    del combined  # not held beside the copies below
-    descrambled = sliding.unpermute_in_place(buf, byte_plan).tobytes()
-    return unpad(PaddedMessage(unsubstitute(descrambled, keyset.sub), envelope.pad_count))
+    substituted = _unscramble(envelope.payload, sliding.shift_plan(keyset.byte_perm.map),
+                              sliding.shift_plan(keyset.bit_perm.map), keyset.rbs,
+                              envelope.start_offset, keyset.rule)
+    return unpad(PaddedMessage(unsubstitute(substituted, keyset.sub), envelope.pad_count))

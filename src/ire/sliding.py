@@ -42,7 +42,12 @@ vector operations, whatever the periods. The interior costs no data
 movement at all: the kernels work in place on a buffer with |shift|
 spare cells, and return the output as a view offset by |shift| from the
 input, so every interior value already sits where it belongs and only
-the fixups are written.
+the fixups are written. Since the fixups read and write only the first
+W and the last W cells, the kernels also run on a short buffer that
+holds just those ends of a long one, side by side, given the long
+buffer's length: fixups(n) counts the tail from the end, so it lands in
+the right cells as long as the two ends do not overlap. That is how
+encrypt and decrypt patch the edges of a message without a full copy.
 """
 
 from __future__ import annotations
@@ -218,30 +223,34 @@ def shift_plan(pmap: tuple[int, ...]) -> ShiftPlan:
     return ShiftPlan(pmap)
 
 
-def permute_in_place(buf: np.ndarray, plan: ShiftPlan) -> np.ndarray:
-    """Forward pass over the first n = buf.size - plan.slack cells of buf.
+def permute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> np.ndarray:
+    """Forward pass over the first cells = buf.size - plan.slack cells of buf.
 
     The slack cells after the input are scratch. Returns the output as
-    the view buf[plan.slack:]; buf no longer holds the input.
+    the view buf[plan.slack:]; buf no longer holds the input. With n
+    given, the cells stand for a pass over n values: the first and the
+    last of them, side by side, holding every fixup of n (see the module
+    notes); fixups read from either end, and the middle is not needed.
     """
-    n = buf.size - plan.slack
-    src, dst = plan.fixups(n)
-    moved = buf[:n][src]
+    cells = buf.size - plan.slack
+    src, dst = plan.fixups(cells if n is None else n)
+    moved = buf[:cells][src]
     out = buf[plan.slack:]
     out[dst] = moved
     return out
 
 
-def unpermute_in_place(buf: np.ndarray, plan: ShiftPlan) -> np.ndarray:
-    """Backward pass over the last n = buf.size - plan.slack cells of buf.
+def unpermute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> np.ndarray:
+    """Backward pass over the last cells = buf.size - plan.slack cells of buf.
 
     The slack cells before the input are scratch. Returns the output as
-    the view buf[:n]; buf no longer holds the input.
+    the view buf[:cells]; buf no longer holds the input. n is as for
+    permute_in_place.
     """
-    n = buf.size - plan.slack
-    src, dst = plan.fixups(n)
+    cells = buf.size - plan.slack
+    src, dst = plan.fixups(cells if n is None else n)
     moved = buf[plan.slack:][dst]
-    out = buf[:n]
+    out = buf[:cells]
     out[src] = moved
     return out
 

@@ -10,6 +10,7 @@ from ire.analysis import (
     MIN_TEST_BITS,
     TestVerdict,
     bench_linear,
+    count_ones,
     monobit_test,
     monobit_verdict,
     packed_bit_counts,
@@ -166,6 +167,18 @@ def test_verdict_is_frozen():
 
 
 # --- verdicts from packed bytes ------------------------------------------------
+
+def test_count_ones_matches_unpacked_sum():
+    # whole eight-byte words are counted as uint64, the rest byte by byte
+    rng = random.Random(41)
+    cases = [np.frombuffer(rng.randbytes(size), dtype=np.uint8) for size in range(18)]
+    cases.append(np.frombuffer(rng.randbytes((1 << 20) + 3), dtype=np.uint8))
+    cases.append(np.full(17, 0xFF, dtype=np.uint8))
+    big = np.frombuffer(rng.randbytes(1 << 12), dtype=np.uint8)
+    cases += [big[3:3 + 1001], big[1:], big[::3]]  # unaligned and strided slices
+    for values in cases:
+        assert count_ones(values) == int(np.unpackbits(values).sum()), values.size
+
 
 @pytest.mark.parametrize("length", [100, 101, 1001, (1 << 16) + 3])
 def test_packed_counts_give_the_unpacked_verdicts(length):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -215,6 +216,14 @@ def test_generate_rbs_is_roughly_balanced():
     ones = int(loop.bits.sum())
     # 3.29 sigma two-sided bound, sigma = sqrt(n)/2 for a fair coin
     assert abs(ones - n / 2) <= 3.29 * math.sqrt(n) / 2
+
+
+def test_generate_rbs_default_length_known_answer():
+    # a seeded default-size loop stays bit-identical
+    loop = generate_rbs(random.Random(5))
+    assert loop.length == DEFAULT_RBS_BITS
+    assert hashlib.sha256(loop.to_packed()).hexdigest() == (
+        "8968dd967f8589e4d11dff3ba164545597d7e98f2d00270a2dc40939aa35bf24")
 
 
 def test_generate_rbs_seeded_is_deterministic():

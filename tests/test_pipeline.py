@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from ire import ops
 from ire.bits import bits_to_bytes, bytes_to_bits
-from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
+from ire.envelope import HEADER_LEN, CipherEnvelope, decode_envelope, encode_envelope
 from ire.errors import CorruptionError, OffsetError, RuleMismatchError
 from ire.keymat import (
     RULE_A,
@@ -152,6 +152,62 @@ def test_edge_fixups_match_public_stages_and_reference(byte_cycles, bit_cycles, 
             assert encrypt(message, keyset, offset).payload == reference, (n, offset)
 
 
+@pytest.mark.parametrize("rule", [RULE_A, RULE_B])
+@pytest.mark.parametrize("byte_cycles, bit_cycles",
+                         [((), ()), ((), (79,)), ((9,), ()), ((9,), (79,)), ((9,), (8,))],
+                         ids=["slack 0 0", "slack 0 79", "slack 9 0", "slack 9 79", "slack 9 8"])
+def test_every_short_length_matches_reference_and_public_stages(byte_cycles, bit_cycles, rule):
+    # encrypt reads the interior straight from the substituted bytes and
+    # patches only the ends, and decrypt works in one array; below about
+    # 50 bytes the ends meet and the whole message is edge, so check
+    # every length up to 120 against the reference and the public stages
+    rng = random.Random(113 + 2 * len(byte_cycles) + len(bit_cycles))
+    base = generate_keyset(rng, rbs_bits=1031, rule=rule)
+    keyset = KeySet(base.sub, WindowPermutation(10, _map_with_cycles(10, byte_cycles, rng)),
+                    WindowPermutation(80, _map_with_cycles(80, bit_cycles, rng)), base.rbs, rule)
+    loop = keyset.rbs.length
+    offsets = [0, loop - 1, loop - 5, rng.randrange(loop)]
+    for n in range(121):
+        message = rng.randbytes(n)
+        for offset in offsets:
+            env = encrypt(message, keyset, offset)
+            assert env.payload == _composed_payload(message, keyset, offset), (n, offset)
+            assert decrypt(env, keyset) == message, (n, offset)
+        offset = offsets[n % len(offsets)]
+        env = encrypt(message, keyset, offset)
+        assert (env.payload, env.pad_count) == oracles.encrypt_reference(message, keyset, offset), (n, offset)
+
+
+def _flipped_bits(a, b):
+    return np.flatnonzero(np.unpackbits(np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interior_changes_stay_local(seed):
+    # away from the ends, each window is a fixed shift: message byte k
+    # reaches only payload bits 8k - 8L - S .. 8k - 8L - S + 7, and
+    # ciphertext bit j only plaintext byte (j + 8L + S) // 8, L and S
+    # being the byte and the bit window's slack; streaming relies on it
+    rng = random.Random(131 + seed)
+    keyset = generate_keyset(rng, rbs_bits=rng.choice([97, 4099, 65_537]), rule=(RULE_A, RULE_B)[seed % 2])
+    shift = 8 * shift_plan(keyset.byte_perm.map).slack + shift_plan(keyset.bit_perm.map).slack
+    n = 400
+    message = rng.randbytes(n)
+    offset = rng.randrange(keyset.rbs.length)
+    env = encrypt(message, keyset, offset)
+    for k in rng.sample(range(64, n - 64), 12):
+        changed = bytearray(message)
+        changed[k] ^= 1 + rng.randrange(255)
+        flipped = _flipped_bits(env.payload, encrypt(bytes(changed), keyset, offset).payload)
+        assert flipped.size and flipped.min() >= 8 * k - shift and flipped.max() < 8 * k - shift + 8, k
+    for j in rng.sample(range(8 * 64, 8 * (n - 64)), 12):
+        payload = bytearray(env.payload)
+        payload[j // 8] ^= 0x80 >> (j % 8)
+        tampered = CipherEnvelope(env.rule_echo, env.pad_count, env.start_offset, bytes(payload))
+        recovered = decrypt(tampered, keyset)
+        assert [i for i in range(n) if recovered[i] != message[i]] == [(j + shift) // 8], j
+
+
 def test_round_trip_across_lengths(small_keyset):
     rng = random.Random(31337)
     for n in [0, 1, 9, 10, 11, 79, 80, 81, 100, 1000]:
@@ -260,6 +316,30 @@ def test_wrapping_1mib_round_trip_peaks_under_4x_payload():
         tracemalloc.stop()
     assert enc_peak <= 4 * len(message), f"encrypt peaked at {enc_peak / len(message):.2f}x"
     assert dec_peak - before <= 4 * len(message), f"decrypt peaked at {(dec_peak - before) / len(message):.2f}x"
+
+
+def test_1mib_calls_hold_one_working_array():
+    # each direction allocates one payload-sized array beside the bytes
+    # objects it must return or read: encrypt holds the substituted bytes
+    # and the payload, then the payload and its bytes; decrypt holds its
+    # working array and its bytes, then those bytes and the unsubstituted
+    keyset = parse_keyset(serialize_keyset(generate_keyset(random.Random(73))))
+    message = random.Random(83).randbytes(1 << 20)
+    offset = keyset.rbs.length - 77
+    envelope = encrypt(message, keyset, offset)
+    assert decrypt(envelope, keyset) == message  # plans warm
+    peaks = []
+    for call in (lambda: encrypt(message, keyset, offset), lambda: decrypt(envelope, keyset)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(message))
+        finally:
+            tracemalloc.stop()
+    enc_peak, dec_peak = peaks
+    assert enc_peak <= 2.2, f"encrypt peaked at {enc_peak:.2f}x"
+    assert dec_peak <= 2.1, f"decrypt peaked at {dec_peak:.2f}x"
 
 
 def test_memory_held_does_not_grow_with_distinct_lengths():
