@@ -217,16 +217,17 @@ def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: slidi
     n, lead, slack = cipher.size, byte_plan.slack, bit_plan.slack
     whole, part = divmod(slack, 8)
     margin = whole + (part > 0)
+    size = n + lead + margin
     # Allocated at least as large as a bytes object of the message, so
     # that the unsubstituted bytes, made once it is freed, can take its
     # memory: at 1 MiB the heap would otherwise grow and shrink by a
     # page-faulted megabyte on every other call.
-    work = np.empty(max(n + lead + margin, sys.getsizeof(ciphertext)), dtype=np.uint8)[:n + lead + margin]
+    work = np.empty(max(size, sys.getsizeof(ciphertext)), dtype=np.uint8)
     start = (offset - 8 * lead - slack) % rbs.length
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
     for k0 in range(0, n, _BLOCK_BYTES):
         # the last block also takes the spare bytes after the message
-        block = work[k0:k0 + _BLOCK_BYTES if n - k0 > _BLOCK_BYTES else work.size]
+        block = work[k0:k0 + _BLOCK_BYTES if n - k0 > _BLOCK_BYTES else size]
         rbs.read((start + 8 * k0) % rbs.length, block)
         if rule == RULE_A:
             np.invert(block, out=block)
@@ -238,7 +239,7 @@ def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: slidi
         work[hi] ^= ciphertext[-1] << (8 - part) & 0xFF
     # the bit window's buffer: its n + margin bytes, of which the edges
     # hold every fixup
-    buf = work[lead:]
+    buf = work[lead:size]
     edge = _edge(byte_plan, bit_plan)
     head, tail = edge, edge + margin
     if head + tail > buf.size:

@@ -228,9 +228,9 @@ def permute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> 
 
     The slack cells after the input are scratch. Returns the output as
     the view buf[plan.slack:]; buf no longer holds the input. With n
-    given, the cells stand for a pass over n values: the first and the
-    last of them, side by side, holding every fixup of n (see the module
-    notes); fixups read from either end, and the middle is not needed.
+    given, the cells stand for a pass over n values of which they hold
+    only the first and the last, side by side, enough of each end to
+    hold every fixup (see the module notes).
     """
     cells = buf.size - plan.slack
     src, dst = plan.fixups(cells if n is None else n)
