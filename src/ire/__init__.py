@@ -1,6 +1,6 @@
 """Iterated random encryption (IRE).
 
-Six invertible stages, pad, byte substitution, a sliding 10-byte window
+Five invertible stages, pad, byte substitution, a sliding 10-byte window
 permutation, a sliding 80-bit window permutation, and a keystream
 combine over a looped random bit sequence, plus key-material tooling,
 bit-exact key and ciphertext file formats, desk-scale randomness

@@ -45,7 +45,6 @@ class CipherEnvelope:
     pad_count: int
     start_offset: int
     payload: bytes
-    version: int = ENVELOPE_VERSION
 
     def __post_init__(self):
         if self.rule_echo not in RULES:

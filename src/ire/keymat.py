@@ -21,11 +21,12 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .entropy import resolve_rng
 from .errors import KeyFormatError
 from .keystream import DEFAULT_RBS_BITS, RbsLoop, generate_rbs
-from .sliding import invert_map
+from .sliding import ShiftPlan, invert_map
 
 __all__ = [
     "RULE_A",
@@ -95,7 +96,11 @@ class SubstitutionTable:
 
 @dataclass(frozen=True)
 class WindowPermutation:
-    """Permutation applied inside each window: output[i] = input[map[i]]."""
+    """Permutation applied inside each window: output[i] = input[map[i]].
+
+    plan, the sliding pass's shift and fixups, is built on first use and
+    kept; not being a field, it stays out of equality and hashing.
+    """
 
     width: int
     map: tuple[int, ...]
@@ -106,6 +111,10 @@ class WindowPermutation:
         object.__setattr__(self, "map", tuple(self.map))
         if len(self.map) != self.width or sorted(self.map) != list(range(self.width)):
             raise ValueError(f"map must be a permutation of 0..{self.width - 1}")
+
+    @cached_property
+    def plan(self) -> ShiftPlan:
+        return ShiftPlan(self.map)
 
     @classmethod
     def identity(cls, width: int) -> "WindowPermutation":

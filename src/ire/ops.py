@@ -1,18 +1,19 @@
 """The invertible pipeline.
 
-Six stages, each with an exact inverse: pad, substitute, sliding
+Five stages, each with an exact inverse: pad, substitute, sliding
 byte-window permutation, sliding bit-window permutation, keystream
 combine. encrypt composes them in that order; decrypt applies the
 inverses in reverse order. Past the substitution, each call allocates
-one array the size of the message and makes one blocked pass over it.
-Away from the ends of the message both windows are fixed shifts, so
-encrypt xors the key with a realigning read of the substituted bytes
-(_scramble), and decrypt xors the ciphertext, realigned, into the key
-read from an earlier offset, which leaves the substituted bytes
-(_unscramble). Every fixup of either window lies within a few bytes of
-an end; those are computed apart, from the message's first and last
-bytes only. The public stage functions compute the same stages one at
-a time.
+one array the size of the message and makes one blocked pass over it
+(_keyed_xor). Away from the ends of the message both windows are fixed
+shifts, so encrypt xors the key with a realigning read of the
+substituted bytes (_scramble), and decrypt xors the ciphertext,
+realigned, into the key read from an earlier offset, which leaves the
+substituted bytes (_unscramble). Every fixup of either window lies
+within a few bytes of an end; those are computed apart, from the
+message's first and last bytes only, with the plans the key's window
+permutations keep. The public stage functions compute the same stages
+one at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
-from .keymat import RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
+from .keymat import BIT_WINDOW, BYTE_WINDOW, RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
 from .keystream import RbsLoop, _xor_bits
 
 __all__ = [
@@ -104,22 +105,22 @@ def unsubstitute(data: bytes, table: SubstitutionTable) -> bytes:
 
 def sliding_byte_permute(data: bytes, perm: WindowPermutation) -> bytes:
     """Apply perm to every width-wide byte window, left to right."""
-    return sliding.apply_forward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
+    return sliding.apply_forward(np.frombuffer(data, dtype=np.uint8), perm.plan).tobytes()
 
 
 def sliding_byte_unpermute(data: bytes, perm: WindowPermutation) -> bytes:
     """Exact inverse of sliding_byte_permute for the same perm."""
-    return sliding.apply_backward(np.frombuffer(data, dtype=np.uint8), perm.map).tobytes()
+    return sliding.apply_backward(np.frombuffer(data, dtype=np.uint8), perm.plan).tobytes()
 
 
 def sliding_bit_permute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Apply perm to every width-wide bit window, left to right."""
-    return sliding.apply_forward(np.asarray(bits, dtype=np.uint8), perm.map)
+    return sliding.apply_forward(np.asarray(bits, dtype=np.uint8), perm.plan)
 
 
 def sliding_bit_unpermute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarray:
     """Exact inverse of sliding_bit_permute for the same perm."""
-    return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.map)
+    return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.plan)
 
 
 # Bytes handled at once by the bit stage of encrypt and decrypt: small
@@ -146,42 +147,49 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
     return out
 
 
-def _edge(byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan) -> int:
-    """Bytes at each end of a message that hold every fixup of either window."""
-    return max(byte_plan.width, -(-bit_plan.width // 8))
+# Bytes at each end of a message that hold every fixup of either window.
+_EDGE = max(BYTE_WINDOW, -(-BIT_WINDOW // 8))
 
 
-def _scramble(substituted: bytes, byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan,
-              rbs: RbsLoop, offset: int, rule: str) -> np.ndarray:
+def _keyed_xor(out: np.ndarray, rbs: RbsLoop, start: int, rule: str,
+               src: np.ndarray, shift: int, lo: int, hi: int) -> None:
+    """Fill out with the loop's bits from start on (modulo its length),
+    complemented under rule A, and xor into each byte k of out[lo:hi]
+    the 8 bits of src from bit 8k + shift on: one key read and one xor
+    per block."""
+    for k0 in range(0, out.size, _BLOCK_BYTES):
+        block = out[k0:k0 + _BLOCK_BYTES]
+        rbs.read((start + 8 * k0) % rbs.length, block)
+        if rule == RULE_A:
+            np.invert(block, out=block)
+        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
+        if a0 < a1:
+            _xor_bits(src, 8 * a0 + shift, out[a0:a1])
+
+
+def _scramble(substituted: bytes, keyset: KeySet, offset: int) -> np.ndarray:
     """Byte window, bit window and keystream combine of the substituted
     bytes t, as one new array of their size.
 
     Payload bit j is key bit j xored with bit j + 8L + S of t, L and S
     being the byte and the bit window's slack, wherever no fixup of
-    either window reaches it: from byte edge on, and up to edge +
+    either window reaches it: from byte _EDGE on, and up to _EDGE +
     ceil(S / 8) bytes from the end, as the read runs ceil(S / 8) bytes
-    ahead. Each block of the payload is one key read and one
-    realigning xor of t. The edges run both windows in a small copy of
-    t's first and last bytes, laid out as the in-place kernels expect,
-    and their realigned bits are xored in at the end; when the two ends
-    meet, the copy is all of t.
+    ahead. The edges run both windows in a small copy of t's first and
+    last bytes, laid out as the in-place kernels expect, and their
+    realigned bits are xored in at the end; when the two ends meet, the
+    copy is all of t.
     """
+    byte_plan, bit_plan = keyset.byte_perm.plan, keyset.bit_perm.plan
     t = np.frombuffer(substituted, dtype=np.uint8)
     n, lead, slack = t.size, byte_plan.slack, bit_plan.slack
-    edge, margin = _edge(byte_plan, bit_plan), -(-slack // 8)
-    head, tail = edge + margin + lead, edge + margin
+    margin = -(-slack // 8)
+    head, tail = _EDGE + margin + lead, _EDGE + margin
     if head + tail > n:
         head, tail = n, 0
-    lo, hi = (edge, n - tail) if tail else (n, n)  # the interior, read straight from t
+    lo, hi = (_EDGE, n - tail) if tail else (n, n)  # the interior, read straight from t
     payload = np.empty(n, dtype=np.uint8)
-    for k0 in range(0, n, _BLOCK_BYTES):
-        block = payload[k0:k0 + _BLOCK_BYTES]
-        rbs.read((offset + 8 * k0) % rbs.length, block)
-        if rule == RULE_A:
-            np.invert(block, out=block)
-        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
-        if a0 < a1:
-            _xor_bits(t, 8 * (a0 + lead) + slack, payload[a0:a1])
+    _keyed_xor(payload, keyset.rbs, offset, keyset.rule, t, 8 * lead + slack, lo, hi)
     # edges[:cells] stands for t, edges[lead:lead + cells] for the byte
     # window's output, and that output's bits from slack on for the bit
     # window's; the spare bytes after t take the shifts.
@@ -199,8 +207,7 @@ def _scramble(substituted: bytes, byte_plan: sliding.ShiftPlan, bit_plan: slidin
     return payload
 
 
-def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: sliding.ShiftPlan,
-                rbs: RbsLoop, offset: int, rule: str) -> bytes:
+def _unscramble(ciphertext: bytes, keyset: KeySet, offset: int) -> bytes:
     """Keystream combine, inverse bit window and inverse byte window of
     the ciphertext: the substituted bytes.
 
@@ -208,11 +215,12 @@ def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: slidi
     work[a] is byte a of the inverse byte window's output, work[L + b]
     byte b of its input, and bit 8L + S + j of work bit j of the
     combined bits, the inverse bit window's input, L and S being the
-    byte and the bit window's slack. So each block is one key read from
-    offset - 8L - S and one realigning xor of the ciphertext, and the
+    byte and the bit window's slack. So it is the key read from
+    offset - 8L - S with the ciphertext xored in at that shift, and the
     in-place kernels then write only the fixups, from the unpacked edges
     of work for the bit window and within work for the byte window.
     """
+    byte_plan, bit_plan = keyset.byte_perm.plan, keyset.bit_perm.plan
     cipher = np.frombuffer(ciphertext, dtype=np.uint8)
     n, lead, slack = cipher.size, byte_plan.slack, bit_plan.slack
     whole, part = divmod(slack, 8)
@@ -223,25 +231,16 @@ def _unscramble(ciphertext: bytes, byte_plan: sliding.ShiftPlan, bit_plan: slidi
     # memory: at 1 MiB the heap would otherwise grow and shrink by a
     # page-faulted megabyte on every other call.
     work = np.empty(max(size, sys.getsizeof(ciphertext)), dtype=np.uint8)
-    start = (offset - 8 * lead - slack) % rbs.length
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
-    for k0 in range(0, n, _BLOCK_BYTES):
-        # the last block also takes the spare bytes after the message
-        block = work[k0:k0 + _BLOCK_BYTES if n - k0 > _BLOCK_BYTES else size]
-        rbs.read((start + 8 * k0) % rbs.length, block)
-        if rule == RULE_A:
-            np.invert(block, out=block)
-        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
-        if a0 < a1:
-            _xor_bits(cipher, 8 * (a0 - lead) - slack, work[a0:a1])
+    shift = 8 * lead + slack
+    _keyed_xor(work[:size], keyset.rbs, offset - shift, keyset.rule, cipher, -shift, lo, hi)
     if part:  # the first and the last byte it covers in part
         work[lo - 1] ^= ciphertext[0] >> part
         work[hi] ^= ciphertext[-1] << (8 - part) & 0xFF
     # the bit window's buffer: its n + margin bytes, of which the edges
     # hold every fixup
     buf = work[lead:size]
-    edge = _edge(byte_plan, bit_plan)
-    head, tail = edge, edge + margin
+    head, tail = _EDGE, _EDGE + margin
     if head + tail > buf.size:
         head, tail = buf.size, 0
     edges = np.unpackbits(np.concatenate((buf[:head], buf[buf.size - tail:])))
@@ -266,8 +265,7 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     """
     _check_offset(offset, keyset.rbs)
     padded = pad(message)
-    payload = _scramble(substitute(padded.data, keyset.sub), sliding.shift_plan(keyset.byte_perm.map),
-                        sliding.shift_plan(keyset.bit_perm.map), keyset.rbs, offset, keyset.rule)
+    payload = _scramble(substitute(padded.data, keyset.sub), keyset, offset)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
@@ -286,7 +284,5 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     _check_offset(envelope.start_offset, keyset.rbs)
-    substituted = _unscramble(envelope.payload, sliding.shift_plan(keyset.byte_perm.map),
-                              sliding.shift_plan(keyset.bit_perm.map), keyset.rbs,
-                              envelope.start_offset, keyset.rule)
+    substituted = _unscramble(envelope.payload, keyset, envelope.start_offset)
     return unpad(PaddedMessage(unsubstitute(substituted, keyset.sub), envelope.pad_count))

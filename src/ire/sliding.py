@@ -52,7 +52,6 @@ encrypt and decrypt patch the edges of a message without a full copy.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,7 +61,6 @@ __all__ = [
     "naive_sliding_permute",
     "naive_sliding_unpermute",
     "ShiftPlan",
-    "shift_plan",
     "permute_in_place",
     "unpermute_in_place",
     "apply_forward",
@@ -217,12 +215,6 @@ class ShiftPlan:
         return self._src[:width + budget], dst
 
 
-@lru_cache(maxsize=8)
-def shift_plan(pmap: tuple[int, ...]) -> ShiftPlan:
-    """The plan for pmap, built on first use; the last few are kept."""
-    return ShiftPlan(pmap)
-
-
 def permute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> np.ndarray:
     """Forward pass over the first cells = buf.size - plan.slack cells of buf.
 
@@ -255,23 +247,23 @@ def unpermute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -
     return out
 
 
-def apply_forward(values: np.ndarray, pmap: Sequence[int]) -> np.ndarray:
-    """Same result as naive_sliding_permute, in O(len(values)).
+def apply_forward(values: np.ndarray, plan: ShiftPlan) -> np.ndarray:
+    """Same result as naive_sliding_permute with the plan's map, in
+    O(len(values)).
 
     values is left untouched.
     """
-    plan = shift_plan(tuple(pmap))
     buf = np.empty(values.size + plan.slack, dtype=values.dtype)
     buf[:values.size] = values
     return permute_in_place(buf, plan)
 
 
-def apply_backward(values: np.ndarray, pmap: Sequence[int]) -> np.ndarray:
-    """Same result as naive_sliding_unpermute: the exact inverse pass.
+def apply_backward(values: np.ndarray, plan: ShiftPlan) -> np.ndarray:
+    """Same result as naive_sliding_unpermute with the plan's map: the
+    exact inverse pass.
 
     values is left untouched.
     """
-    plan = shift_plan(tuple(pmap))
     buf = np.empty(values.size + plan.slack, dtype=values.dtype)
     buf[plan.slack:] = values
     return unpermute_in_place(buf, plan)
@@ -280,7 +272,7 @@ def apply_backward(values: np.ndarray, pmap: Sequence[int]) -> np.ndarray:
 def global_index_map(pmap: Sequence[int], n: int) -> np.ndarray:
     """Final buffer index of every starting index after one forward pass.
 
-    An uncached O(n) expansion of the plan, for inspection and tests;
-    the kernels never build it.
+    An O(n) expansion of a plan built for the call, for inspection and
+    tests; the kernels never build it.
     """
-    return apply_backward(np.arange(n), pmap)
+    return apply_backward(np.arange(n), ShiftPlan(pmap))

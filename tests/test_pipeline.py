@@ -24,7 +24,7 @@ from ire.keymat import (
 )
 from ire.keystream import RbsLoop
 from ire.ops import decrypt, encrypt
-from ire.sliding import shift_plan
+from ire.sliding import ShiftPlan
 from test_sliding import _map_with_cycles
 
 
@@ -135,8 +135,8 @@ def test_edge_fixups_match_public_stages_and_reference(byte_cycles, bit_cycles, 
     base = generate_keyset(rng, rbs_bits=4099, rule=rule)
     keyset = KeySet(base.sub, WindowPermutation(10, _map_with_cycles(10, byte_cycles, rng)),
                     WindowPermutation(80, _map_with_cycles(80, bit_cycles, rng)), base.rbs, rule)
-    assert shift_plan(keyset.byte_perm.map).slack == sum(byte_cycles)
-    assert shift_plan(keyset.bit_perm.map).slack == sum(bit_cycles)
+    assert ShiftPlan(keyset.byte_perm.map).slack == sum(byte_cycles)
+    assert ShiftPlan(keyset.bit_perm.map).slack == sum(bit_cycles)
     loop = keyset.rbs.length
     offsets = [0, loop - 1, loop - 4, loop - 8]
     block_bytes = ops._BLOCK_BYTES
@@ -190,7 +190,7 @@ def test_interior_changes_stay_local(seed):
     # being the byte and the bit window's slack; streaming relies on it
     rng = random.Random(131 + seed)
     keyset = generate_keyset(rng, rbs_bits=rng.choice([97, 4099, 65_537]), rule=(RULE_A, RULE_B)[seed % 2])
-    shift = 8 * shift_plan(keyset.byte_perm.map).slack + shift_plan(keyset.bit_perm.map).slack
+    shift = 8 * ShiftPlan(keyset.byte_perm.map).slack + ShiftPlan(keyset.bit_perm.map).slack
     n = 400
     message = rng.randbytes(n)
     offset = rng.randrange(keyset.rbs.length)
@@ -359,6 +359,31 @@ def test_memory_held_does_not_grow_with_distinct_lengths():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000, f"{held} bytes still held after {len(lengths)} lengths"
+
+
+def test_each_window_plan_is_built_once_per_keyset(monkeypatch):
+    # the plans live on the keyset's permutations, so keysets used in
+    # turn never evict each other's: six keysets build twelve plans in
+    # all, on their first call, however many rounds follow
+    keysets = [generate_keyset(random.Random(71 + i), rbs_bits=1024) for i in range(6)]
+    hashes = [(hash(k.byte_perm), hash(k.bit_perm)) for k in keysets]
+    built = []
+    build = ShiftPlan.__init__
+
+    def counted(self, pmap):
+        built.append(tuple(pmap))
+        build(self, pmap)
+
+    monkeypatch.setattr(ShiftPlan, "__init__", counted)
+    message = bytes(range(200))
+    for _ in range(3):
+        for keyset in keysets:
+            assert decrypt(encrypt(message, keyset, 17), keyset) == message
+    assert len(built) == 2 * len(keysets)
+    # a built plan stays out of equality and hashing
+    for keyset, before in zip(keysets, hashes):
+        assert parse_keyset(serialize_keyset(keyset)) == keyset
+        assert (hash(keyset.byte_perm), hash(keyset.bit_perm)) == before
 
 
 def test_readme_library_example_runs():

@@ -14,7 +14,6 @@ from ire.sliding import (
     invert_map,
     naive_sliding_permute,
     naive_sliding_unpermute,
-    shift_plan,
 )
 
 KNOWN_MAP = (7, 2, 6, 3, 0, 9, 1, 8, 5, 4)
@@ -97,8 +96,8 @@ def test_fast_path_equals_naive_small_widths():
             perm = tuple(perm)
             values = [rng.randrange(256) for _ in range(n)]
             arr = np.array(values, dtype=np.uint8)
-            assert apply_forward(arr, perm).tolist() == naive_sliding_permute(values, perm)
-            assert apply_backward(arr, perm).tolist() == naive_sliding_unpermute(values, perm)
+            assert apply_forward(arr, ShiftPlan(perm)).tolist() == naive_sliding_permute(values, perm)
+            assert apply_backward(arr, ShiftPlan(perm)).tolist() == naive_sliding_unpermute(values, perm)
 
 
 def test_fast_path_equals_naive_structured_maps():
@@ -111,8 +110,8 @@ def test_fast_path_equals_naive_structured_maps():
             for n in range(width, 4 * width + 2):
                 values = list(range(n))
                 arr = np.array(values, dtype=np.int64)
-                assert apply_forward(arr, pmap).tolist() == naive_sliding_permute(values, pmap)
-                assert apply_backward(arr, pmap).tolist() == naive_sliding_unpermute(values, pmap)
+                assert apply_forward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_permute(values, pmap)
+                assert apply_backward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_unpermute(values, pmap)
 
 
 def test_fast_path_equals_naive_width_80():
@@ -123,8 +122,8 @@ def test_fast_path_equals_naive_width_80():
         perm = tuple(perm)
         values = [rng.randrange(2) for _ in range(n)]
         arr = np.array(values, dtype=np.uint8)
-        assert apply_forward(arr, perm).tolist() == naive_sliding_permute(values, perm)
-        assert apply_backward(arr, perm).tolist() == naive_sliding_unpermute(values, perm)
+        assert apply_forward(arr, ShiftPlan(perm)).tolist() == naive_sliding_permute(values, perm)
+        assert apply_backward(arr, ShiftPlan(perm)).tolist() == naive_sliding_unpermute(values, perm)
 
 
 def test_global_index_map_is_permutation():
@@ -153,8 +152,8 @@ def test_multiset_preserved():
 def test_round_trip_property(perm, values):
     pmap = tuple(perm)
     arr = np.array(values, dtype=np.uint8)
-    forward = apply_forward(arr, pmap)
-    assert apply_backward(forward, pmap).tolist() == values
+    forward = apply_forward(arr, ShiftPlan(pmap))
+    assert apply_backward(forward, ShiftPlan(pmap)).tolist() == values
     assert forward.tolist() == naive_sliding_permute(values, pmap)
 
 
@@ -172,8 +171,8 @@ def _structured_maps(width):
 def _assert_matches_naive(pmap, n, rng):
     values = [rng.randrange(1 << 16) for _ in range(n)]
     arr = np.array(values, dtype=np.int64)
-    assert apply_forward(arr, pmap).tolist() == naive_sliding_permute(values, pmap), (pmap, n)
-    assert apply_backward(arr, pmap).tolist() == naive_sliding_unpermute(values, pmap), (pmap, n)
+    assert apply_forward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_permute(values, pmap), (pmap, n)
+    assert apply_backward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_unpermute(values, pmap), (pmap, n)
 
 
 @pytest.mark.parametrize("width", [10, 80])
@@ -191,10 +190,10 @@ def test_kernel_short_buffers_cut_head_walks(width):
 @pytest.mark.parametrize("width", [10, 80])
 def test_kernel_identity_map_has_no_shift(width):
     identity = tuple(range(width))
-    assert shift_plan(identity).slack == 0
+    assert ShiftPlan(identity).slack == 0
     arr = np.arange(5 * width)
-    assert apply_forward(arr, identity).tolist() == arr.tolist()
-    assert apply_backward(arr, identity).tolist() == arr.tolist()
+    assert apply_forward(arr, ShiftPlan(identity)).tolist() == arr.tolist()
+    assert apply_backward(arr, ShiftPlan(identity)).tolist() == arr.tolist()
 
 
 @pytest.mark.parametrize("width", [10, 80])
@@ -288,7 +287,7 @@ def test_fixup_tables_match_the_window_pass(width, cycle_sets):
     maps += [tuple(rng.sample(range(width), width)) for _ in range(2)]
     longest = max(3 * width, width + 399)
     for pmap, periods in zip(maps, cycle_sets + [None, None]):
-        plan = shift_plan(pmap)
+        plan = ShiftPlan(pmap)
         if periods is not None:
             ring = slice(plan.retire + 1, width)
             assert sorted(plan._period[ring][plan._pos[ring] == 0].tolist()) == sorted(periods)
