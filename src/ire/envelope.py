@@ -12,6 +12,11 @@ Wire layout (IRE1 version 1, all integers little-endian):
 
 The start offset travels in the clear by design; without the keyset it
 names a position in a loop the attacker does not have.
+
+A CipherEnvelope's payload is an immutable bytes-like object: bytes, or
+a read-only one-dimensional memoryview of unsigned bytes.
+decode_envelope and ops.encrypt hand the payload over as such a view,
+without copying it; bytes(envelope.payload) gives a copy.
 """
 
 from __future__ import annotations
@@ -39,14 +44,26 @@ _MAX_PAD = 10
 _MIN_PAYLOAD = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CipherEnvelope:
+    """A payload and the header fields that travel with it.
+
+    A payload given as a writable buffer (a bytearray, a writable view)
+    is copied to bytes once, so the envelope cannot change under its
+    hash. A read-only view is kept as it is: what exports it must leave
+    those bytes alone. Pickling turns the payload into bytes.
+    """
+
     rule_echo: str
     pad_count: int
     start_offset: int
-    payload: bytes
+    payload: bytes | memoryview
 
     def __post_init__(self):
+        if not isinstance(self.payload, bytes):
+            view = memoryview(self.payload)
+            kept = view.readonly and view.c_contiguous and view.ndim == 1 and view.format == "B"
+            object.__setattr__(self, "payload", view if kept else view.tobytes())
         if self.rule_echo not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
         if not 0 <= self.pad_count <= _MAX_PAD:
@@ -57,6 +74,17 @@ class CipherEnvelope:
             raise ValueError("a nonzero pad count requires a 10-byte payload")
         if not 0 <= self.start_offset < 2 ** 64:
             raise ValueError("start offset does not fit in 64 bits")
+
+    def __hash__(self):
+        # the hash of bytes, which a view over a numpy array cannot give
+        return hash((self.rule_echo, self.pad_count, self.start_offset, bytes(self.payload)))
+
+    def __reduce__(self):
+        return type(self), (self.rule_echo, self.pad_count, self.start_offset, bytes(self.payload))
+
+    def __repr__(self):
+        return (f"CipherEnvelope(rule_echo={self.rule_echo!r}, pad_count={self.pad_count}, "
+                f"start_offset={self.start_offset}, payload=<{len(self.payload)} bytes>)")
 
 
 def encode_envelope(envelope: CipherEnvelope) -> bytes:
@@ -71,6 +99,9 @@ def encode_envelope(envelope: CipherEnvelope) -> bytes:
 
 def decode_envelope(data: bytes) -> CipherEnvelope:
     """Parse an IRE1 v1 image.
+
+    The payload is a view of data past the header, not a copy; data
+    given as a bytearray is copied once, as CipherEnvelope does.
 
     Total on arbitrary input: malformed bytes raise EnvelopeFormatError,
     nothing else. The declared payload length is checked against the
@@ -106,5 +137,5 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
         rule_echo=RULE_A if rule_flag == 0 else RULE_B,
         pad_count=pad_count,
         start_offset=start_offset,
-        payload=data[HEADER_LEN:],
+        payload=memoryview(data)[HEADER_LEN:],
     )

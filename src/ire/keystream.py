@@ -192,8 +192,10 @@ def _random_bits(rng: random.Random, count: int) -> np.ndarray:
     The bits are those of getrandbits(count), most significant first.
     """
     nbytes = (count + 7) // 8
-    raw = (rng.getrandbits(count) << (8 * nbytes - count)).to_bytes(nbytes, "big")
-    return np.frombuffer(raw, dtype=np.uint8)
+    value = rng.getrandbits(count)
+    if count % 8:  # a shift makes a copy of the int, even by 0
+        value <<= 8 * nbytes - count
+    return np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
 
 
 def generate_rbs(rng: random.Random | None = None, bit_length: int = DEFAULT_RBS_BITS) -> RbsLoop:

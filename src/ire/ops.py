@@ -149,6 +149,8 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
 
 # Bytes at each end of a message that hold every fixup of either window.
 _EDGE = max(BYTE_WINDOW, -(-BIT_WINDOW // 8))
+# What a bytes object takes beyond its length.
+_BYTES_OVERHEAD = sys.getsizeof(b"")
 
 
 def _keyed_xor(out: np.ndarray, rbs: RbsLoop, start: int, rule: str,
@@ -207,7 +209,7 @@ def _scramble(substituted: bytes, keyset: KeySet, offset: int) -> np.ndarray:
     return payload
 
 
-def _unscramble(ciphertext: bytes, keyset: KeySet, offset: int) -> bytes:
+def _unscramble(ciphertext: bytes | memoryview, keyset: KeySet, offset: int) -> bytes:
     """Keystream combine, inverse bit window and inverse byte window of
     the ciphertext: the substituted bytes.
 
@@ -229,8 +231,9 @@ def _unscramble(ciphertext: bytes, keyset: KeySet, offset: int) -> bytes:
     # Allocated at least as large as a bytes object of the message, so
     # that the unsubstituted bytes, made once it is freed, can take its
     # memory: at 1 MiB the heap would otherwise grow and shrink by a
-    # page-faulted megabyte on every other call.
-    work = np.empty(max(size, sys.getsizeof(ciphertext)), dtype=np.uint8)
+    # page-faulted megabyte on every other call. Sized from n, as the
+    # ciphertext may be a view.
+    work = np.empty(max(size, n + _BYTES_OVERHEAD), dtype=np.uint8)
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
     shift = 8 * lead + slack
     _keyed_xor(work[:size], keyset.rbs, offset - shift, keyset.rule, cipher, -shift, lo, hi)
@@ -261,16 +264,18 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
 
     Deterministic for a fixed (message, keyset, offset). Callers wanting
     distinct ciphertexts per send must draw a fresh offset each time. An
-    offset outside the loop raises OffsetError.
+    offset outside the loop raises OffsetError. The payload is the
+    pipeline's own working array, as a read-only memoryview.
     """
     _check_offset(offset, keyset.rbs)
     padded = pad(message)
     payload = _scramble(substitute(padded.data, keyset.sub), keyset, offset)
+    payload.setflags(write=False)
     return CipherEnvelope(
         rule_echo=keyset.rule,
         pad_count=padded.pad_count,
         start_offset=offset,
-        payload=payload.tobytes(),
+        payload=memoryview(payload),
     )
 
 

@@ -1,6 +1,8 @@
+import pickle
 import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +75,14 @@ def test_constructor_validation():
         sample_envelope(offset=2 ** 64)
     with pytest.raises(ValueError):
         sample_envelope(offset=-1)
+    with pytest.raises(ValueError, match="at least 10"):
+        sample_envelope(payload=memoryview(b"niner"))
+    with pytest.raises(ValueError, match="10-byte payload"):
+        sample_envelope(payload=memoryview(b"0123456789x"), pad_count=1)
+    with pytest.raises(ValueError, match="pad count"):
+        sample_envelope(payload=memoryview(b"0123456789"), pad_count=11)
+    with pytest.raises(TypeError):
+        sample_envelope(payload="0123456789")  # not a bytes-like object
 
 
 def test_decode_rejects_bad_magic():
@@ -140,3 +150,57 @@ def test_decode_huge_declared_length_is_cheap():
     with pytest.raises(EnvelopeFormatError, match="truncated payload"):
         decode_envelope(bytes(blob))
     assert time.perf_counter() - started < 0.05
+
+
+# --- payload handoff -----------------------------------------------------------
+
+def test_decode_of_bytes_shares_its_memory():
+    blob = encode_envelope(sample_envelope(payload=bytes(range(40))))
+    env = decode_envelope(blob)
+    assert isinstance(env.payload, memoryview) and env.payload.obj is blob
+    assert env.payload.readonly
+    assert env.payload == bytes(range(40))
+    with pytest.raises(TypeError):
+        env.payload[0] = 1
+    copy = bytes(env.payload)
+    assert type(copy) is bytes and copy == bytes(range(40))
+
+
+def test_writable_and_odd_buffers_are_copied_once():
+    blob = bytearray(encode_envelope(sample_envelope(payload=bytes(range(40)))))
+    env = decode_envelope(blob)
+    blob[HEADER_LEN:] = bytes(40)
+    assert type(env.payload) is bytes and env.payload == bytes(range(40))
+    backing = bytearray(b"0123456789abc")
+    env = sample_envelope(payload=memoryview(backing))
+    backing[0] = ord("X")
+    assert type(env.payload) is bytes and env.payload == b"0123456789abc"
+    # a read-only view that is strided or not of unsigned bytes is copied too
+    assert type(sample_envelope(payload=memoryview(bytes(30))[::2]).payload) is bytes
+    assert type(sample_envelope(payload=memoryview(bytes(12)).cast("b")).payload) is bytes
+
+
+def test_view_and_bytes_payloads_compare_and_hash_equal():
+    payload = bytes(range(100, 140))
+    array = np.frombuffer(payload, dtype=np.uint8).copy()
+    array.setflags(write=False)  # as encrypt hands over its working array
+    as_bytes = sample_envelope(payload=payload)
+    for other in (sample_envelope(payload=memoryview(payload)), sample_envelope(payload=array)):
+        assert isinstance(other.payload, memoryview)
+        assert other == as_bytes and as_bytes == other
+        assert hash(other) == hash(as_bytes)
+    assert len({as_bytes, sample_envelope(payload=array)}) == 1
+    assert sample_envelope(payload=array) != sample_envelope(payload=payload[::-1])
+
+
+def test_pickle_round_trips_an_envelope():
+    blob = encode_envelope(sample_envelope(payload=bytes(range(50)), pad_count=0, rule=RULE_A))
+    for env in (decode_envelope(blob), sample_envelope(pad_count=4)):
+        back = pickle.loads(pickle.dumps(env))
+        assert back == env and type(back.payload) is bytes
+
+
+def test_repr_shows_the_payload_length():
+    env = decode_envelope(encode_envelope(sample_envelope(payload=bytes(1 << 16))))
+    text = repr(env)
+    assert text == "CipherEnvelope(rule_echo='B', pad_count=0, start_offset=6722, payload=<65536 bytes>)"

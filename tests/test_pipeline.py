@@ -294,6 +294,14 @@ def test_ciphertext_size_law(small_keyset):
         assert len(encode_envelope(env)) == HEADER_LEN + max(n, 10)
 
 
+def test_encrypt_hands_over_a_read_only_view(small_keyset):
+    env = encrypt(b"a message of some length", small_keyset, 5)
+    assert isinstance(env.payload, memoryview) and env.payload.readonly
+    with pytest.raises(ValueError):
+        np.frombuffer(env.payload, dtype=np.uint8)[0] = 0
+    assert decrypt(decode_envelope(encode_envelope(env)), small_keyset) == b"a message of some length"
+
+
 # --- memory ------------------------------------------------------------------
 
 def test_wrapping_1mib_round_trip_peaks_under_4x_payload():
@@ -321,25 +329,30 @@ def test_wrapping_1mib_round_trip_peaks_under_4x_payload():
 def test_1mib_calls_hold_one_working_array():
     # each direction allocates one payload-sized array beside the bytes
     # objects it must return or read: encrypt holds the substituted bytes
-    # and the payload, then the payload and its bytes; decrypt holds its
-    # working array and its bytes, then those bytes and the unsubstituted
+    # and the payload array, which the envelope keeps; decrypt holds its
+    # working array and its bytes, then those bytes and the unsubstituted.
+    # The payload crosses the envelope as a view, so encode_envelope adds
+    # only the wire bytes and decode_envelope adds nothing.
     keyset = parse_keyset(serialize_keyset(generate_keyset(random.Random(73))))
     message = random.Random(83).randbytes(1 << 20)
     offset = keyset.rbs.length - 77
     envelope = encrypt(message, keyset, offset)
-    assert decrypt(envelope, keyset) == message  # plans warm
-    peaks = []
-    for call in (lambda: encrypt(message, keyset, offset), lambda: decrypt(envelope, keyset)):
+    wire = encode_envelope(envelope)
+    assert decrypt(decode_envelope(wire), keyset) == message  # plans warm
+    for name, call, bound in (
+        ("encrypt", lambda: encrypt(message, keyset, offset), 2.2),
+        ("decrypt", lambda: decrypt(envelope, keyset), 2.1),
+        ("encrypt + encode_envelope", lambda: encode_envelope(encrypt(message, keyset, offset)), 2.2),
+        ("decode_envelope + decrypt", lambda: decrypt(decode_envelope(wire), keyset), 2.1),
+    ):
         gc.collect()
         tracemalloc.start()
         try:
             call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / len(message))
+            peak = tracemalloc.get_traced_memory()[1] / len(message)
         finally:
             tracemalloc.stop()
-    enc_peak, dec_peak = peaks
-    assert enc_peak <= 2.2, f"encrypt peaked at {enc_peak:.2f}x"
-    assert dec_peak <= 2.1, f"decrypt peaked at {dec_peak:.2f}x"
+        assert peak <= bound, f"{name} peaked at {peak:.2f}x"
 
 
 def test_memory_held_does_not_grow_with_distinct_lengths():
