@@ -24,6 +24,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EnvelopeFormatError
 from .keymat import RULE_A, RULE_B, RULES
 
@@ -50,8 +52,9 @@ class CipherEnvelope:
 
     A payload given as a writable buffer (a bytearray, a writable view)
     is copied to bytes once, so the envelope cannot change under its
-    hash. A read-only view is kept as it is: what exports it must leave
-    those bytes alone. Pickling turns the payload into bytes.
+    hash. A read-only view is kept as it is, the same object: what
+    exports it must leave those bytes alone, and the view must not be
+    released. Envelopes compare, hash and pickle by the payload's bytes.
     """
 
     rule_echo: str
@@ -60,10 +63,9 @@ class CipherEnvelope:
     payload: bytes | memoryview
 
     def __post_init__(self):
-        if not isinstance(self.payload, bytes):
+        if not isinstance(self.payload, bytes) and not _is_byte_view(self.payload):
             view = memoryview(self.payload)
-            kept = view.readonly and view.c_contiguous and view.ndim == 1 and view.format == "B"
-            object.__setattr__(self, "payload", view if kept else view.tobytes())
+            object.__setattr__(self, "payload", view if _is_byte_view(view) else view.tobytes())
         if self.rule_echo not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
         if not 0 <= self.pad_count <= _MAX_PAD:
@@ -75,6 +77,17 @@ class CipherEnvelope:
         if not 0 <= self.start_offset < 2 ** 64:
             raise ValueError("start offset does not fit in 64 bits")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.rule_echo, self.pad_count, self.start_offset) != (other.rule_echo, other.pad_count, other.start_offset):
+            return False
+        a, b = self.payload, other.payload
+        if isinstance(a, bytes) and isinstance(b, bytes):
+            return a == b
+        # memoryview == compares item by item, about 4 ms a MiB
+        return bool(np.array_equal(np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)))
+
     def __hash__(self):
         # the hash of bytes, which a view over a numpy array cannot give
         return hash((self.rule_echo, self.pad_count, self.start_offset, bytes(self.payload)))
@@ -85,6 +98,12 @@ class CipherEnvelope:
     def __repr__(self):
         return (f"CipherEnvelope(rule_echo={self.rule_echo!r}, pad_count={self.pad_count}, "
                 f"start_offset={self.start_offset}, payload=<{len(self.payload)} bytes>)")
+
+
+def _is_byte_view(payload) -> bool:
+    """Whether payload is a read-only, contiguous, 1-D view of unsigned bytes."""
+    return (isinstance(payload, memoryview) and payload.readonly and payload.c_contiguous
+            and payload.ndim == 1 and payload.format == "B")
 
 
 def encode_envelope(envelope: CipherEnvelope) -> bytes:

@@ -62,6 +62,7 @@ _RULE_FLAGS = {RULE_A: 0, RULE_B: 1}
 _FLAG_RULES = {0: RULE_A, 1: RULE_B}
 _RBS_LENGTH_AT = 352
 _RBS_AT = 360
+_IDENTITY = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -76,22 +77,19 @@ class SubstitutionTable:
             raise ValueError("forward table must be a bijection on the 256 byte values")
         if len(self.inverse) != 256:
             raise ValueError("inverse table must hold 256 entries")
-        for value in range(256):
-            if self.inverse[self.forward[value]] != value:
-                raise ValueError("inverse table does not invert the forward table")
+        if self.forward.translate(self.inverse) != _IDENTITY:
+            raise ValueError("inverse table does not invert the forward table")
 
     @classmethod
     def from_forward(cls, forward: bytes) -> "SubstitutionTable":
         """Build the inverse; this is how a stored table is rehydrated."""
-        inverse = bytearray(256)
-        for value, image in enumerate(forward[:256]):
-            inverse[image] = value
-        return cls(bytes(forward), bytes(inverse))
+        if len(forward) != 256:
+            raise ValueError("forward table must be a bijection on the 256 byte values")
+        return cls(bytes(forward), bytes.maketrans(forward, _IDENTITY))
 
     @classmethod
     def identity(cls) -> "SubstitutionTable":
-        table = bytes(range(256))
-        return cls(table, table)
+        return cls(_IDENTITY, _IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,11 @@ def generate_keyset(
 
 
 def serialize_keyset(keyset: KeySet) -> bytes:
-    """Produce the byte-exact IREK v1 image of a keyset."""
+    """Produce the byte-exact IREK v1 image of a keyset.
+
+    The packed loop is joined into the image straight from the keyset,
+    so the image is the only loop-sized allocation.
+    """
     return b"".join([
         KEY_MAGIC,
         bytes([KEY_VERSION, _RULE_FLAGS[keyset.rule]]),
@@ -196,7 +198,7 @@ def serialize_keyset(keyset: KeySet) -> bytes:
         bytes(keyset.byte_perm.map),
         bytes(keyset.bit_perm.map),
         struct.pack("<Q", keyset.rbs.length),
-        keyset.rbs.to_packed(),
+        keyset.rbs.packed,
     ])
 
 
@@ -204,8 +206,11 @@ def parse_keyset(data: bytes) -> KeySet:
     """Parse and validate an IREK v1 file.
 
     Total on arbitrary input: malformed bytes raise KeyFormatError,
-    nothing else, and nothing larger than the input is ever allocated:
-    the packed RBS is copied once and never unpacked.
+    nothing else, and nothing larger than the input is ever allocated.
+    The packed RBS is never unpacked. Parsed from bytes, the keyset's
+    loop is a view of data past the header, not a copy, and keeps data
+    alive; data given as a bytearray, or a view of one, is copied once,
+    as RbsLoop.from_packed does.
     """
     if len(data) < 4:
         raise KeyFormatError("truncated key file: shorter than the magic")

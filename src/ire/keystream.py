@@ -46,7 +46,7 @@ class RbsLoop:
 
     @classmethod
     def _wrap(cls, packed: np.ndarray, length: int) -> "RbsLoop":
-        """A loop over packed bytes this module owns, pad bits already zero."""
+        """A loop over packed bytes that nothing writes to, pad bits already zero."""
         loop = cls.__new__(cls)
         loop._store(packed, length)
         return loop
@@ -133,14 +133,23 @@ class RbsLoop:
     def from_packed(cls, data: bytes | bytearray | memoryview, bit_length: int) -> "RbsLoop":
         """Rebuild a loop from MSB-first packed bytes.
 
-        Copies data once and zeroes any pad bits after bit_length.
-        Accepts raw bit files too: pass bit_length = 8 * len(data).
+        When data's memory belongs to a bytes object (data is bytes or a
+        view of one) and the pad bits after bit_length are zero, the loop
+        is a read-only view of that memory and keeps the bytes object
+        alive. Anything else (a bytearray, a view of one, an mmap, or
+        nonzero pad bits) is copied once and its pad bits zeroed, so
+        changing the source later never changes the loop. Accepts raw
+        bit files too: pass bit_length = 8 * len(data).
         """
-        if (bit_length + 7) // 8 != len(data):
-            raise ValueError(f"{len(data)} packed bytes cannot hold exactly {bit_length} bits")
-        packed = np.frombuffer(data, dtype=np.uint8).copy()
-        if bit_length % 8:
-            packed[-1] &= 0xFF << (8 - bit_length % 8) & 0xFF
+        view = memoryview(data)
+        if (bit_length + 7) // 8 != len(view):
+            raise ValueError(f"{len(view)} packed bytes cannot hold exactly {bit_length} bits")
+        packed = np.frombuffer(view, dtype=np.uint8)
+        pad = -bit_length % 8
+        if type(view.obj) is not bytes or (pad and packed[-1] & ((1 << pad) - 1)):
+            packed = packed.copy()
+            if pad:
+                packed[-1] &= 0xFF << pad & 0xFF
         return cls._wrap(packed, bit_length)
 
     def __eq__(self, other) -> bool:

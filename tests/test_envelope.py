@@ -193,6 +193,31 @@ def test_view_and_bytes_payloads_compare_and_hash_equal():
     assert sample_envelope(payload=array) != sample_envelope(payload=payload[::-1])
 
 
+def test_equality_reads_the_payload_bytes_and_every_header_field():
+    payload = bytes(range(60, 100))
+    blob = encode_envelope(sample_envelope(payload=payload))
+    view, other_view, as_bytes = decode_envelope(blob), decode_envelope(bytes(blob)), sample_envelope(payload=payload)
+    assert view == other_view and view == as_bytes and as_bytes == view
+    assert hash(view) == hash(other_view) == hash(as_bytes)
+    differs = payload[:-1] + b"\x00"  # same length, last byte changed
+    for changed in (
+        sample_envelope(payload=differs),
+        sample_envelope(payload=memoryview(differs)),
+        sample_envelope(payload=payload + b"\x00"),
+        sample_envelope(payload=payload, offset=6723),
+        sample_envelope(payload=payload, rule=RULE_A),
+    ):
+        assert view != changed and changed != view and as_bytes != changed
+    short = bytes(range(10))
+    assert sample_envelope(payload=memoryview(short), pad_count=3) != sample_envelope(payload=short, pad_count=4)
+    assert view != payload and view.__eq__(payload) is NotImplemented
+
+
+def test_a_read_only_byte_view_is_kept_as_given():
+    view = memoryview(bytes(range(30)))
+    assert sample_envelope(payload=view).payload is view
+
+
 def test_pickle_round_trips_an_envelope():
     blob = encode_envelope(sample_envelope(payload=bytes(range(50)), pad_count=0, rule=RULE_A))
     for env in (decode_envelope(blob), sample_envelope(pad_count=4)):

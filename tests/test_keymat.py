@@ -182,6 +182,43 @@ def test_parse_round_trip_property(seed, bits):
     assert parse_keyset(serialize_keyset(ks)) == ks
 
 
+def test_keyset_parsed_from_bytes_shares_its_memory():
+    image = serialize_keyset(generate_keyset(random.Random(3), rbs_bits=731))
+    keyset = parse_keyset(image)
+    assert np.shares_memory(keyset.rbs.packed, np.frombuffer(image, dtype=np.uint8))
+    assert not keyset.rbs.packed.flags.writeable
+    assert serialize_keyset(keyset) == image
+
+
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_keyset_parsed_from_a_bytearray_is_a_copy(read_only_view):
+    image = serialize_keyset(generate_keyset(random.Random(4), rbs_bits=731))
+    expected = parse_keyset(image)
+    source = bytearray(image)
+    keyset = parse_keyset(memoryview(source).toreadonly() if read_only_view else source)
+    source[6:] = bytes(len(source) - 6)  # table, maps and every loop byte
+    source.extend(b"\x00")  # resizable: the keyset holds no view of it
+    assert keyset == expected
+    assert serialize_keyset(keyset) == image
+
+
+def test_parse_and_serialize_make_no_second_loop():
+    image = serialize_keyset(generate_keyset(random.Random(6)))  # a 2^23-bit loop
+    gc.collect()
+    tracemalloc.start()
+    try:
+        keyset = parse_keyset(image)
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        again = serialize_keyset(keyset)
+        _, serialize_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == image
+    assert parse_peak <= 0.05 * len(image), f"parse peaked at {parse_peak / len(image):.3f}x the image"
+    assert serialize_peak <= 1.1 * len(image), f"serialize peaked at {serialize_peak / len(image):.2f}x the image"
+
+
 def test_parse_rejects_bad_magic():
     with pytest.raises(KeyFormatError, match="magic"):
         parse_keyset(b"NOPE" + bytes(400))
@@ -266,8 +303,8 @@ def test_fingerprints_differ():
 
 
 def test_parse_keyset_memory_stays_near_the_image_size():
-    # the packed loop is copied once and never unpacked, during the parse
-    # or by a later encrypt and decrypt whose keystream wraps the loop end
+    # the packed loop is never unpacked, during the parse or by a later
+    # encrypt and decrypt whose keystream wraps the loop end
     image = serialize_keyset(generate_keyset(random.Random(5)))  # a 2^23-bit loop
     gc.collect()
     tracemalloc.start()

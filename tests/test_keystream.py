@@ -1,5 +1,6 @@
 import hashlib
 import math
+import mmap
 import random
 from collections import Counter
 
@@ -114,6 +115,18 @@ def test_from_packed_zeroes_pad_bits_and_copies():
     loop = RbsLoop.from_packed(source, 80)
     source[0] = 0xFF
     assert loop.bit_at(0) == 0
+
+
+def test_from_packed_views_bytes_and_copies_other_buffers():
+    data = bytes(range(1, 12))  # 88 bits, no pad bits
+    for source, length in ((data, 88), (memoryview(data)[1:], 80)):
+        loop = RbsLoop.from_packed(source, length)
+        assert np.shares_memory(loop.packed, np.frombuffer(data, dtype=np.uint8))
+    with mmap.mmap(-1, len(data)) as source:  # closing fails while a view is held
+        source[:] = data
+        loop = RbsLoop.from_packed(source, 88)
+        source[:] = bytes(len(data))
+    assert loop.to_packed() == data
 
 
 # --- the packed loop against its unpacked definition -------------------------
