@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class CipherEnvelope:
     is copied to bytes once, so the envelope cannot change under its
     hash. A read-only view is kept as it is, the same object: what
     exports it must leave those bytes alone, and the view must not be
-    released. Envelopes compare, hash and pickle by the payload's bytes.
+    released. Envelopes compare, hash and pickle by the payload's bytes;
+    the payload's hash is computed once, on first use, and kept.
     """
 
     rule_echo: str
@@ -88,9 +90,14 @@ class CipherEnvelope:
         # memoryview == compares item by item, about 4 ms a MiB
         return bool(np.array_equal(np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)))
 
+    @cached_property
+    def _payload_hash(self) -> int:
+        # the hash of bytes, which a view over a numpy array cannot give;
+        # copied once per envelope, not on every hash
+        return hash(bytes(self.payload))
+
     def __hash__(self):
-        # the hash of bytes, which a view over a numpy array cannot give
-        return hash((self.rule_echo, self.pad_count, self.start_offset, bytes(self.payload)))
+        return hash((self.rule_echo, self.pad_count, self.start_offset, self._payload_hash))
 
     def __reduce__(self):
         return type(self), (self.rule_echo, self.pad_count, self.start_offset, bytes(self.payload))

@@ -2,18 +2,27 @@
 
 Five stages, each with an exact inverse: pad, substitute, sliding
 byte-window permutation, sliding bit-window permutation, keystream
-combine. encrypt composes them in that order; decrypt applies the
-inverses in reverse order. Past the substitution, each call allocates
-one array the size of the message and makes one blocked pass over it
-(_keyed_xor). Away from the ends of the message both windows are fixed
-shifts, so encrypt xors the key with a realigning read of the
-substituted bytes (_scramble), and decrypt xors the ciphertext,
-realigned, into the key read from an earlier offset, which leaves the
-substituted bytes (_unscramble). Every fixup of either window lies
-within a few bytes of an end; those are computed apart, from the
-message's first and last bytes only, with the plans the key's window
-permutations keep. The public stage functions compute the same stages
-one at a time.
+combine. The public stage functions sliding_*_permute, keystream_combine
+and their inverses compute them one at a time, over bytes and over
+unpacked bits, one bit per byte.
+
+encrypt and decrypt run the same stages over packed bytes, each stage a
+public function working in place on one array the size of the message:
+
+    encrypt: pad, substitute, packed_combine, packed_windows, envelope
+    decrypt: packed_combine, packed_unwindows, unsubstitute, unpad
+
+Xor commutes, so the combine runs first and the windows of the
+substituted bytes are xored into the key. Away from the ends of the
+message both windows together are one fixed shift of 8L + S bits, L and
+S being the byte and the bit window's slack: packed_windows xors a
+realigning read of the substituted bytes into the array, and decrypt
+reads the key from 8L + S bits before the offset, so that
+packed_unwindows xors the ciphertext in at the opposite shift and leaves
+the substituted bytes. Both realigning reads run a block at a time.
+Every fixup of either window lies within a few bytes of an end; those
+are computed apart, from the message's first and last bytes only, with
+the plans the key's window permutations keep.
 """
 
 from __future__ import annotations
@@ -42,6 +51,9 @@ __all__ = [
     "sliding_bit_permute",
     "sliding_bit_unpermute",
     "keystream_combine",
+    "packed_combine",
+    "packed_windows",
+    "packed_unwindows",
     "encrypt",
     "decrypt",
 ]
@@ -123,7 +135,7 @@ def sliding_bit_unpermute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarr
     return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.plan)
 
 
-# Bytes handled at once by the bit stage of encrypt and decrypt: small
+# Bytes handled at once by the packed combine and window stages: small
 # enough that a block and its temporaries stay in cache, large enough
 # that the per-block numpy calls cost little.
 _BLOCK_BYTES = 1 << 17
@@ -149,49 +161,59 @@ def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) ->
 
 # Bytes at each end of a message that hold every fixup of either window.
 _EDGE = max(BYTE_WINDOW, -(-BIT_WINDOW // 8))
-# What a bytes object takes beyond its length.
-_BYTES_OVERHEAD = sys.getsizeof(b"")
 
 
-def _keyed_xor(out: np.ndarray, rbs: RbsLoop, start: int, rule: str,
-               src: np.ndarray, shift: int, lo: int, hi: int) -> None:
-    """Fill out with the loop's bits from start on (modulo its length),
-    complemented under rule A, and xor into each byte k of out[lo:hi]
-    the 8 bits of src from bit 8k + shift on: one key read and one xor
-    per block."""
+def _window_shift(byte_perm: WindowPermutation, bit_perm: WindowPermutation) -> int:
+    """8L + S, L and S being the byte and the bit window's slack: both
+    windows move every bit of the interior back by that many places."""
+    return 8 * byte_perm.plan.slack + bit_perm.plan.slack
+
+
+def _xor_realigned(out: np.ndarray, src: np.ndarray, shift: int, lo: int, hi: int) -> None:
+    """Xor into each byte k of out[lo:hi] the 8 bits of packed src from
+    bit 8k + shift on, a block at a time."""
+    for a0 in range(lo, hi, _BLOCK_BYTES):
+        _xor_bits(src, 8 * a0 + shift, out[a0:min(a0 + _BLOCK_BYTES, hi)])
+
+
+def packed_combine(out: np.ndarray, rbs: RbsLoop, start: int, rule: str) -> None:
+    """Keystream combine over packed bytes, in place: fill out with the
+    loop's bits from bit start on, wrapping, complemented under rule A.
+
+    out is a writable uint8 array of any size; start may be any integer
+    and is taken modulo the loop's length. Under either rule, bit j of
+    out ^ x is keystream_combine of x's bit j. Reads the loop a block at
+    a time, so it allocates no more than a block beside out.
+    """
     for k0 in range(0, out.size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
         rbs.read((start + 8 * k0) % rbs.length, block)
         if rule == RULE_A:
             np.invert(block, out=block)
-        a0, a1 = max(k0, lo), min(k0 + block.size, hi)
-        if a0 < a1:
-            _xor_bits(src, 8 * a0 + shift, out[a0:a1])
 
 
-def _scramble(substituted: bytes, keyset: KeySet, offset: int) -> np.ndarray:
-    """Byte window, bit window and keystream combine of the substituted
-    bytes t, as one new array of their size.
+def packed_windows(out: np.ndarray, substituted: bytes, byte_perm: WindowPermutation,
+                   bit_perm: WindowPermutation) -> None:
+    """Byte window, then bit window, of the substituted bytes t, xored
+    into out in place.
 
-    Payload bit j is key bit j xored with bit j + 8L + S of t, L and S
-    being the byte and the bit window's slack, wherever no fixup of
-    either window reaches it: from byte _EDGE on, and up to _EDGE +
-    ceil(S / 8) bytes from the end, as the read runs ceil(S / 8) bytes
-    ahead. The edges run both windows in a small copy of t's first and
-    last bytes, laid out as the in-place kernels expect, and their
-    realigned bits are xored in at the end; when the two ends meet, the
-    copy is all of t.
+    out is a writable uint8 array of t's size, at least 10 bytes; t is
+    only read. Bit j of the windows' output is bit j + 8L + S of t
+    (_window_shift) wherever no fixup of either window reaches it: from
+    byte _EDGE on, and up to _EDGE + ceil(S / 8) bytes from the end, as
+    the read runs ceil(S / 8) bytes ahead. That interior is one
+    realigning xor. The edges run both windows in a small copy of t's
+    first and last bytes, laid out as the in-place kernels expect, and
+    are xored in apart; when the two ends meet, the copy is all of t.
     """
-    byte_plan, bit_plan = keyset.byte_perm.plan, keyset.bit_perm.plan
     t = np.frombuffer(substituted, dtype=np.uint8)
-    n, lead, slack = t.size, byte_plan.slack, bit_plan.slack
+    n, lead, slack = t.size, byte_perm.plan.slack, bit_perm.plan.slack
     margin = -(-slack // 8)
     head, tail = _EDGE + margin + lead, _EDGE + margin
     if head + tail > n:
         head, tail = n, 0
     lo, hi = (_EDGE, n - tail) if tail else (n, n)  # the interior, read straight from t
-    payload = np.empty(n, dtype=np.uint8)
-    _keyed_xor(payload, keyset.rbs, offset, keyset.rule, t, 8 * lead + slack, lo, hi)
+    _xor_realigned(out, t, _window_shift(byte_perm, bit_perm), lo, hi)
     # edges[:cells] stands for t, edges[lead:lead + cells] for the byte
     # window's output, and that output's bits from slack on for the bit
     # window's; the spare bytes after t take the shifts.
@@ -199,59 +221,59 @@ def _scramble(substituted: bytes, keyset: KeySet, offset: int) -> np.ndarray:
     edges = np.empty(cells + lead + margin, dtype=np.uint8)
     edges[:head] = t[:head]
     edges[head:cells] = t[n - tail:]
-    sliding.permute_in_place(edges[:cells + lead], byte_plan, n)
+    sliding.permute_in_place(edges[:cells + lead], byte_perm.plan, n)
     bits = np.unpackbits(edges[lead:])
-    sliding.permute_in_place(bits[:8 * cells + slack], bit_plan, 8 * n)
+    sliding.permute_in_place(bits[:8 * cells + slack], bit_perm.plan, 8 * n)
     edges = np.packbits(bits[slack:slack + 8 * cells])
-    first, last = payload[:lo], payload[hi:]
-    first ^= edges[:lo]
-    last ^= edges[cells - last.size:]
-    return payload
+    out[:lo] ^= edges[:lo]
+    out[hi:] ^= edges[cells - (n - hi):]
 
 
-def _unscramble(ciphertext: bytes | memoryview, keyset: KeySet, offset: int) -> bytes:
-    """Keystream combine, inverse bit window and inverse byte window of
-    the ciphertext: the substituted bytes.
+def packed_unwindows(work: np.ndarray, ciphertext: bytes | memoryview, byte_perm: WindowPermutation,
+                     bit_perm: WindowPermutation) -> np.ndarray:
+    """Inverse bit window, then inverse byte window, of the ciphertext
+    combined with the key held in work, in place; returns the
+    substituted bytes as the view work[:n], n being the ciphertext's
+    length, at least 10.
 
-    One working array stands for both inverse windows' buffers at once:
-    work[a] is byte a of the inverse byte window's output, work[L + b]
-    byte b of its input, and bit 8L + S + j of work bit j of the
-    combined bits, the inverse bit window's input, L and S being the
-    byte and the bit window's slack. So it is the key read from
-    offset - 8L - S with the ciphertext xored in at that shift, and the
-    in-place kernels then write only the fixups, from the unpacked edges
-    of work for the bit window and within work for the byte window.
+    work is a writable uint8 array of at least n + L + ceil(S / 8)
+    bytes, which n + 19 always covers, L and S being the byte and the
+    bit window's slack. On entry, bit 8L + S + j of work holds the key
+    bit that ciphertext bit j was combined with; decrypt fills it with
+    packed_combine from 8L + S bits before the envelope's offset. Its
+    other bits are scratch. With those bits zero, the result is the
+    inverse windows of the ciphertext alone. The ciphertext is only
+    read.
+
+    work stands for both inverse windows' buffers at once: work[a] is
+    byte a of the inverse byte window's output, work[L + b] byte b of
+    its input, and bit 8L + S + j of work bit j of the inverse bit
+    window's input. So the ciphertext is xored in at that shift, and
+    the in-place kernels then write only the fixups, from the unpacked
+    edges of work for the bit window and within work for the byte
+    window.
     """
-    byte_plan, bit_plan = keyset.byte_perm.plan, keyset.bit_perm.plan
     cipher = np.frombuffer(ciphertext, dtype=np.uint8)
-    n, lead, slack = cipher.size, byte_plan.slack, bit_plan.slack
+    n, lead, slack = cipher.size, byte_perm.plan.slack, bit_perm.plan.slack
     whole, part = divmod(slack, 8)
     margin = whole + (part > 0)
-    size = n + lead + margin
-    # Allocated at least as large as a bytes object of the message, so
-    # that the unsubstituted bytes, made once it is freed, can take its
-    # memory: at 1 MiB the heap would otherwise grow and shrink by a
-    # page-faulted megabyte on every other call. Sized from n, as the
-    # ciphertext may be a view.
-    work = np.empty(max(size, n + _BYTES_OVERHEAD), dtype=np.uint8)
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
-    shift = 8 * lead + slack
-    _keyed_xor(work[:size], keyset.rbs, offset - shift, keyset.rule, cipher, -shift, lo, hi)
+    _xor_realigned(work, cipher, -_window_shift(byte_perm, bit_perm), lo, hi)
     if part:  # the first and the last byte it covers in part
         work[lo - 1] ^= ciphertext[0] >> part
         work[hi] ^= ciphertext[-1] << (8 - part) & 0xFF
     # the bit window's buffer: its n + margin bytes, of which the edges
     # hold every fixup
-    buf = work[lead:size]
+    buf = work[lead:n + lead + margin]
     head, tail = _EDGE, _EDGE + margin
     if head + tail > buf.size:
         head, tail = buf.size, 0
     edges = np.unpackbits(np.concatenate((buf[:head], buf[buf.size - tail:])))
-    sliding.unpermute_in_place(edges[:8 * (head + tail - margin) + slack], bit_plan, 8 * n)
+    sliding.unpermute_in_place(edges[:8 * (head + tail - margin) + slack], bit_perm.plan, 8 * n)
     edges = np.packbits(edges)
     buf[:head] = edges[:head]
     buf[buf.size - tail:] = edges[head:]
-    return sliding.unpermute_in_place(work[:n + lead], byte_plan).tobytes()
+    return sliding.unpermute_in_place(work[:n + lead], byte_perm.plan)
 
 
 def _check_offset(offset: int, rbs: RbsLoop) -> None:
@@ -269,7 +291,10 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     """
     _check_offset(offset, keyset.rbs)
     padded = pad(message)
-    payload = _scramble(substitute(padded.data, keyset.sub), keyset, offset)
+    substituted = substitute(padded.data, keyset.sub)
+    payload = np.empty(len(substituted), dtype=np.uint8)
+    packed_combine(payload, keyset.rbs, offset, keyset.rule)
+    packed_windows(payload, substituted, keyset.byte_perm, keyset.bit_perm)
     payload.setflags(write=False)
     return CipherEnvelope(
         rule_echo=keyset.rule,
@@ -289,5 +314,14 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     _check_offset(envelope.start_offset, keyset.rbs)
-    substituted = _unscramble(envelope.payload, keyset, envelope.start_offset)
+    # The size of a bytes object of n bytes: it covers the inverse
+    # windows' at most 19 spare bytes, and lets the unsubstituted bytes,
+    # made once work is freed, take its memory; at 1 MiB the heap would
+    # otherwise grow and shrink by a page-faulted megabyte on every
+    # other call. Sized from n, as the payload may be a view.
+    work = np.empty(len(envelope.payload) + sys.getsizeof(b""), dtype=np.uint8)
+    packed_combine(work, keyset.rbs, envelope.start_offset - _window_shift(keyset.byte_perm, keyset.bit_perm),
+                   keyset.rule)
+    substituted = packed_unwindows(work, envelope.payload, keyset.byte_perm, keyset.bit_perm).tobytes()
+    del work  # before unsubstitute allocates, or the call peaks at 3x
     return unpad(PaddedMessage(unsubstitute(substituted, keyset.sub), envelope.pad_count))

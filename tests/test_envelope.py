@@ -1,6 +1,8 @@
 import pickle
+import random
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,21 @@ def test_view_and_bytes_payloads_compare_and_hash_equal():
         assert hash(other) == hash(as_bytes)
     assert len({as_bytes, sample_envelope(payload=array)}) == 1
     assert sample_envelope(payload=array) != sample_envelope(payload=payload[::-1])
+
+
+def test_a_second_hash_of_a_view_envelope_copies_nothing():
+    array = np.frombuffer(random.Random(5).randbytes(1 << 20), dtype=np.uint8).copy()
+    array.setflags(write=False)
+    envelope = sample_envelope(payload=array)
+    first = hash(envelope)
+    tracemalloc.start()
+    try:
+        second = hash(envelope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first == hash(sample_envelope(payload=array.tobytes()))
+    assert peak < 1024, f"a second hash allocated {peak} bytes"
 
 
 def test_equality_reads_the_payload_bytes_and_every_header_field():

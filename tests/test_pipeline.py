@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 
@@ -70,6 +71,36 @@ def test_matches_reference_pipeline():
         assert env.rule_echo == keyset.rule
 
 
+# SHA-256 over the payloads of the sweep below, as ops.encrypt gave them
+# when this test was written: no change to the code may change a
+# ciphertext.
+_PINNED_SWEEP_DIGEST = "7432abd7be18f1c5e6405062691ceaca5f7297f58f67f58151b0c1f478245710"
+
+
+def test_ciphertexts_are_pinned():
+    # every short length and lengths around one and two blocks, under
+    # loops shorter than a block and longer, both rules, the least and
+    # the most slack in either window, from the loop's start and across
+    # its seam
+    rng = random.Random(0x5EED)
+    block_bytes = ops._BLOCK_BYTES
+    lengths = [*range(131), *(k * block_bytes + d for k in (1, 2) for d in (-1, 0, 1))]
+    digest = hashlib.sha256()
+    for rbs_bits in (97, 4099, 300_007):
+        for rule in (RULE_A, RULE_B):
+            base = generate_keyset(rng, rbs_bits=rbs_bits, rule=rule)
+            for byte_cycles in ((), (9,)):
+                for bit_cycles in ((), (8,), (79,)):
+                    keyset = KeySet(base.sub, WindowPermutation(10, _map_with_cycles(10, byte_cycles, rng)),
+                                    WindowPermutation(80, _map_with_cycles(80, bit_cycles, rng)),
+                                    base.rbs, rule)
+                    for n in lengths:
+                        message = rng.randbytes(n)
+                        for offset in (0, rbs_bits - 3):
+                            digest.update(encrypt(message, keyset, offset).payload)
+    assert digest.hexdigest() == _PINNED_SWEEP_DIGEST
+
+
 # --- round trips ------------------------------------------------------------
 
 def _composed_payload(message, keyset, offset):
@@ -97,8 +128,8 @@ def _extreme_window_maps(rng):
 
 @pytest.mark.parametrize("rbs_bits", [97, 4096, 300_007, 1_500_007])
 def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
-    # encrypt and decrypt fuse the bit window with the combine and work
-    # through packed bytes a block at a time; lengths around the block
+    # encrypt and decrypt run the packed stages, which work through
+    # packed bytes a block at a time; lengths around the block
     # size, and loops shorter than a block, must give what the separate
     # public stages give; so must short messages, whose window edges
     # overlap, under maps with no shift and with the largest shifts
@@ -176,6 +207,85 @@ def test_every_short_length_matches_reference_and_public_stages(byte_cycles, bit
         offset = offsets[n % len(offsets)]
         env = encrypt(message, keyset, offset)
         assert (env.payload, env.pad_count) == oracles.encrypt_reference(message, keyset, offset), (n, offset)
+
+
+# --- the packed stages, one at a time --------------------------------------
+
+def _stage_lengths():
+    block_bytes = ops._BLOCK_BYTES
+    return [*range(121), *(k * block_bytes + d for k in (1, 2) for d in (-1, 0, 1))]
+
+
+@pytest.mark.parametrize("rbs_bits", [97, 4099, 300_007])
+def test_packed_combine_matches_keystream_combine_over_zero_bits(rbs_bits):
+    rng = random.Random(151 + rbs_bits)
+    for rule in (RULE_A, RULE_B):
+        rbs = generate_keyset(rng, rbs_bits=rbs_bits, rule=rule).rbs
+        for n in _stage_lengths():
+            for offset in (0, rbs_bits - 1, rbs_bits - 3, rbs_bits - 8, rng.randrange(rbs_bits)):
+                expected = bits_to_bytes(ops.keystream_combine(np.zeros(8 * n, np.uint8), rbs, offset, rule))
+                out = np.frombuffer(rng.randbytes(n), dtype=np.uint8).copy()
+                ops.packed_combine(out, rbs, offset, rule)
+                assert out.tobytes() == expected, (rule, n, offset)
+            # a start before the loop's, as decrypt passes it, wraps
+            ops.packed_combine(out, rbs, offset - 7 * rbs_bits, rule)
+            assert out.tobytes() == expected, (rule, n, offset)
+
+
+def _window_perms(rng):
+    """(byte, bit) permutation pairs: the extreme maps, the least and
+    the most slack in either window, and two drawn at random."""
+    maps = _extreme_window_maps(rng) + [
+        (_map_with_cycles(10, byte_cycles, rng), _map_with_cycles(80, bit_cycles, rng))
+        for byte_cycles, bit_cycles in [((), ()), ((9,), (79,)), ((9,), (8,)), ((), (8,))]]
+    maps += [(tuple(rng.sample(range(10), 10)), tuple(rng.sample(range(80), 80))) for _ in range(2)]
+    return [(WindowPermutation(10, byte_map), WindowPermutation(80, bit_map)) for byte_map, bit_map in maps]
+
+
+def test_packed_windows_match_the_unpacked_windows():
+    # out starts nonzero, so the windows must be xored in, not written;
+    # t is writable here, so a write to it would show
+    rng = random.Random(157)
+    for byte_perm, bit_perm in _window_perms(rng):
+        for n in _stage_lengths():
+            t = bytearray(rng.randbytes(n))
+            kept = bytes(t)
+            out = np.frombuffer(rng.randbytes(n), dtype=np.uint8).copy()
+            before = out.copy()
+            if n < 10:
+                with pytest.raises(ValueError):
+                    ops.packed_windows(out, t, byte_perm, bit_perm)
+                continue
+            ops.packed_windows(out, t, byte_perm, bit_perm)
+            unpacked = ops.sliding_bit_permute(bytes_to_bits(ops.sliding_byte_permute(kept, byte_perm)), bit_perm)
+            assert (out ^ before).tobytes() == bits_to_bytes(unpacked), (n, byte_perm.map, bit_perm.map)
+            assert bytes(t) == kept
+
+
+def test_packed_unwindows_match_the_unpacked_unpermutes():
+    # work of the least size the stage asks for, its key bits zero and
+    # its scratch bits not; the ciphertext is writable, so a write to it
+    # would show
+    rng = random.Random(163)
+    for byte_perm, bit_perm in _window_perms(rng):
+        lead, slack = byte_perm.plan.slack, bit_perm.plan.slack
+        shift = 8 * lead + slack
+        for n in _stage_lengths():
+            ciphertext = bytearray(rng.randbytes(n))
+            kept = bytes(ciphertext)
+            work = np.unpackbits(np.frombuffer(rng.randbytes(n + lead + 10), dtype=np.uint8))
+            work[shift:shift + 8 * n] = 0
+            work = np.packbits(work)[:n + lead + -(-slack // 8)]
+            if n < 10:  # shorter than any envelope's payload
+                with pytest.raises((ValueError, IndexError)):
+                    ops.packed_unwindows(work, ciphertext, byte_perm, bit_perm)
+                continue
+            substituted = ops.packed_unwindows(work, ciphertext, byte_perm, bit_perm)
+            unpacked = ops.sliding_bit_unpermute(bytes_to_bits(kept), bit_perm)
+            expected = ops.sliding_byte_unpermute(bits_to_bytes(unpacked), byte_perm)
+            assert substituted.tobytes() == expected, (n, byte_perm.map, bit_perm.map)
+            assert np.shares_memory(substituted, work) and substituted.size == n
+            assert bytes(ciphertext) == kept
 
 
 def _flipped_bits(a, b):
