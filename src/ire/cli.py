@@ -5,6 +5,10 @@ IreError and OSError become exit code 1; any other exception is a bug
 and propagates.
 Output files are written to a temporary name and renamed into place on
 success, so a failing run never leaves a partial file behind.
+
+parse_args builds the parser with arguments for the one subcommand
+that runs (build_parser) and makes the checks that argparse cannot
+state; a usage error exits before any file is read.
 """
 
 from __future__ import annotations
@@ -78,31 +82,19 @@ def _rndtest_arguments(rndtest: argparse.ArgumentParser) -> None:
     rndtest.add_argument("--csv", action="store_true", help="machine-readable output")
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments only when it runs.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ire parser, with arguments added only to the subcommand that
+    command names.
 
     argparse parses the arguments of the chosen subcommand only, and
-    adding every subcommand's up front would be most of the CLI's
-    start-up time; ire --help lists the subcommands without them.
+    adding every subcommand's would be most of the CLI's start-up time;
+    ire --help lists the subcommands without them.
     """
-
-    def __init__(self, *args, add_arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
-            self._add_arguments = None
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ire",
         description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text, run, add_arguments in (
             ("keygen", "generate a keyset file", run_keygen, _keygen_arguments),
             ("encrypt", "encrypt a file", run_encrypt, _encrypt_arguments),
@@ -110,12 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
             ("selftest", "run the built-in known-answer checks", run_selftest, None),
             ("bench", "measure encrypt/decrypt scaling", run_bench, _bench_arguments),
             ("rndtest", "run randomness checks over keystream bits", run_rndtest, _rndtest_arguments)):
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments).set_defaults(run=run)
+        command_parser = sub.add_parser(name, help=help_text)
+        command_parser.set_defaults(run=run)
+        if name == command and add_arguments is not None:
+            add_arguments(command_parser)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # ire takes no option with a value, so argparse runs the subcommand
+    # that the first argument not starting with "-" names
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.subcommand == "keygen" and args.rbs_bits < keystream.RbsLoop.MIN_BITS:
         parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")

@@ -10,6 +10,12 @@ Wire layout (IRE1 version 1, all integers little-endian):
     offset 15  payload byte length, u64
     offset 23  payload
 
+The first six bytes are those an IREK key file opens with, and
+keymat._read_header checks them for both. decode_envelope checks the
+fields only it reads, the pad count and the declared length;
+CipherEnvelope checks the rest of what an envelope must hold, for
+decoded and built envelopes alike.
+
 The start offset travels in the clear by design; without the keyset it
 names a position in a loop the attacker does not have.
 
@@ -28,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EnvelopeFormatError
-from .keymat import RULE_A, RULE_B, RULES
+from .keymat import _RULE_FLAGS, BYTE_WINDOW, RULES, _read_header
 
 __all__ = [
     "ENVELOPE_MAGIC",
@@ -43,8 +49,9 @@ ENVELOPE_MAGIC = b"IRE1"
 ENVELOPE_VERSION = 1
 HEADER_LEN = 23
 
-_MAX_PAD = 10
-_MIN_PAYLOAD = 10
+# a payload fills at least one byte window, and padding only ever
+# brings a message up to one
+_MAX_PAD = _MIN_PAYLOAD = BYTE_WINDOW
 
 
 @dataclass(frozen=True, repr=False)
@@ -75,7 +82,7 @@ class CipherEnvelope:
         if len(self.payload) < _MIN_PAYLOAD:
             raise ValueError(f"payload must hold at least {_MIN_PAYLOAD} bytes")
         if self.pad_count > 0 and len(self.payload) != _MIN_PAYLOAD:
-            raise ValueError("a nonzero pad count requires a 10-byte payload")
+            raise ValueError(f"a nonzero pad count requires a {_MIN_PAYLOAD}-byte payload")
         if not 0 <= self.start_offset < 2 ** 64:
             raise ValueError("start offset does not fit in 64 bits")
 
@@ -117,7 +124,7 @@ def encode_envelope(envelope: CipherEnvelope) -> bytes:
     """Produce the byte-exact IRE1 v1 image: 23-byte header, then payload."""
     return b"".join([
         ENVELOPE_MAGIC,
-        bytes([ENVELOPE_VERSION, 0 if envelope.rule_echo == RULE_A else 1, envelope.pad_count]),
+        bytes([ENVELOPE_VERSION, _RULE_FLAGS[envelope.rule_echo], envelope.pad_count]),
         struct.pack("<QQ", envelope.start_offset, len(envelope.payload)),
         envelope.payload,
     ])
@@ -132,20 +139,11 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
     Total on arbitrary input: malformed bytes raise EnvelopeFormatError,
     nothing else. The declared payload length is checked against the
     actual size before anything is sliced, so a hostile header cannot
-    drive allocation.
+    drive allocation. What CipherEnvelope refuses, a payload under 10
+    bytes or a nonzero pad count beside one of more, it refuses here
+    too, as an EnvelopeFormatError with the same message.
     """
-    if len(data) < 4:
-        raise EnvelopeFormatError("truncated envelope: shorter than the magic")
-    if data[:4] != ENVELOPE_MAGIC:
-        raise EnvelopeFormatError("bad magic: not an IRE1 envelope")
-    if len(data) < HEADER_LEN:
-        raise EnvelopeFormatError("truncated envelope header")
-    version = data[4]
-    if version != ENVELOPE_VERSION:
-        raise EnvelopeFormatError(f"unsupported envelope version {version}")
-    rule_flag = data[5]
-    if rule_flag not in (0, 1):
-        raise EnvelopeFormatError(f"invalid rule flag {rule_flag:#04x}")
+    rule = _read_header(data, ENVELOPE_MAGIC, ENVELOPE_VERSION, HEADER_LEN, EnvelopeFormatError, "envelope")
     pad_count = data[6]
     if pad_count > _MAX_PAD:
         raise EnvelopeFormatError(f"pad count {pad_count} exceeds {_MAX_PAD}")
@@ -155,13 +153,9 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
         raise EnvelopeFormatError(f"truncated payload: header declares {declared} bytes, {actual} present")
     if declared < actual:
         raise EnvelopeFormatError(f"trailing data: header declares {declared} bytes, {actual} present")
-    if declared < _MIN_PAYLOAD:
-        raise EnvelopeFormatError(f"payload must hold at least {_MIN_PAYLOAD} bytes")
-    if pad_count > 0 and declared != _MIN_PAYLOAD:
-        raise EnvelopeFormatError("a nonzero pad count requires a 10-byte payload")
-    return CipherEnvelope(
-        rule_echo=RULE_A if rule_flag == 0 else RULE_B,
-        pad_count=pad_count,
-        start_offset=start_offset,
-        payload=memoryview(data)[HEADER_LEN:],
-    )
+    try:
+        return CipherEnvelope(rule, pad_count, start_offset, memoryview(data)[HEADER_LEN:])
+    except ValueError as exc:  # the payload's size, which CipherEnvelope checks
+        message = str(exc)
+    # raised past the handler, so that no traceback keeps a view of data
+    raise EnvelopeFormatError(message)

@@ -13,6 +13,10 @@ The keyset file format (IREK version 1, all integers little-endian):
                 pad bits of the final byte are zero
 
 The inverse substitution table is not stored; it is rebuilt on load.
+
+An IRE1 envelope (envelope.py) opens with the same six bytes: magic,
+version and rule flag. _read_header checks them for both formats, and
+_RULE_FLAGS is the one statement of the flag's encoding.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ KEY_MAGIC = b"IREK"
 KEY_VERSION = 1
 
 _RULE_FLAGS = {RULE_A: 0, RULE_B: 1}
-_FLAG_RULES = {0: RULE_A, 1: RULE_B}
+_FLAG_RULES = {flag: rule for rule, flag in _RULE_FLAGS.items()}
 _RBS_LENGTH_AT = 352
 _RBS_AT = 360
 _IDENTITY = bytes(range(256))
@@ -202,6 +206,26 @@ def serialize_keyset(keyset: KeySet) -> bytes:
     ])
 
 
+def _read_header(data, magic: bytes, version: int, min_len: int, error: type[Exception], kind: str) -> str:
+    """Check the six bytes an IREK key file and an IRE1 envelope both
+    open with, magic, version and rule flag, and that data holds the
+    format's fixed-size header, min_len bytes; return the rule. A failed
+    check raises error with a message that names kind, "key file" or
+    "envelope".
+    """
+    if len(data) < len(magic):
+        raise error(f"truncated {kind}: shorter than the magic")
+    if data[:len(magic)] != magic:
+        raise error(f"bad magic: not an {magic.decode()} {kind}")
+    if len(data) < min_len:
+        raise error(f"truncated {kind}: header cut short")
+    if data[4] != version:
+        raise error(f"unsupported {kind} version {data[4]}")
+    if data[5] not in _FLAG_RULES:
+        raise error(f"invalid rule flag {data[5]:#04x}")
+    return _FLAG_RULES[data[5]]
+
+
 def parse_keyset(data: bytes) -> KeySet:
     """Parse and validate an IREK v1 file.
 
@@ -212,21 +236,7 @@ def parse_keyset(data: bytes) -> KeySet:
     alive; data given as a bytearray, or a view of one, is copied once,
     as RbsLoop.from_packed does.
     """
-    if len(data) < 4:
-        raise KeyFormatError("truncated key file: shorter than the magic")
-    if data[:4] != KEY_MAGIC:
-        raise KeyFormatError("bad magic: not an IREK key file")
-    if len(data) < 6:
-        raise KeyFormatError("truncated key file: header cut short")
-    version = data[4]
-    if version != KEY_VERSION:
-        raise KeyFormatError(f"unsupported key file version {version}")
-    rule_flag = data[5]
-    if rule_flag not in _FLAG_RULES:
-        raise KeyFormatError(f"invalid rule flag {rule_flag:#04x}")
-    if len(data) < _RBS_AT:
-        raise KeyFormatError("truncated key file: table section cut short")
-
+    rule = _read_header(data, KEY_MAGIC, KEY_VERSION, _RBS_AT, KeyFormatError, "key file")
     forward = data[6:262]
     if len(set(forward)) != 256:
         raise KeyFormatError("invalid substitution table: not a bijection")
@@ -249,16 +259,13 @@ def parse_keyset(data: bytes) -> KeySet:
     if data[-1] & ((1 << pad_bits) - 1):
         raise KeyFormatError("nonzero pad bits after the RBS")
 
-    try:
-        return KeySet(
-            sub=SubstitutionTable.from_forward(forward),
-            byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
-            bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
-            rbs=RbsLoop.from_packed(memoryview(data)[_RBS_AT:], rbs_bits),
-            rule=_FLAG_RULES[rule_flag],
-        )
-    except ValueError as exc:  # pragma: no cover - everything is pre-validated
-        raise KeyFormatError(str(exc)) from exc
+    return KeySet(
+        sub=SubstitutionTable.from_forward(forward),
+        byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
+        bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
+        rbs=RbsLoop.from_packed(memoryview(data)[_RBS_AT:], rbs_bits),
+        rule=rule,
+    )
 
 
 def keyset_fingerprint(serialized: bytes) -> str:

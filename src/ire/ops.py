@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 PAD_BYTE = 0x20
-PAD_WIDTH = 10
+PAD_WIDTH = BYTE_WINDOW
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class PaddedMessage:
             raise CorruptionError(f"padded message holds {len(self.data)} bytes, minimum is {PAD_WIDTH}")
         if self.pad_count:
             if len(self.data) != PAD_WIDTH:
-                raise CorruptionError("a nonzero pad count requires exactly 10 bytes")
+                raise CorruptionError(f"a nonzero pad count requires exactly {PAD_WIDTH} bytes")
             if any(b != PAD_BYTE for b in self.data[-self.pad_count:]):
                 raise CorruptionError("pad count inconsistent with trailing bytes")
 
@@ -183,8 +183,11 @@ def packed_combine(out: np.ndarray, rbs: RbsLoop, start: int, rule: str) -> None
     out is a writable uint8 array of any size; start may be any integer
     and is taken modulo the loop's length. Under either rule, bit j of
     out ^ x is keystream_combine of x's bit j. Reads the loop a block at
-    a time, so it allocates no more than a block beside out.
+    a time, so it allocates no more than a block beside out. A rule
+    outside RULES raises ValueError.
     """
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}")
     for k0 in range(0, out.size, _BLOCK_BYTES):
         block = out[k0:k0 + _BLOCK_BYTES]
         rbs.read((start + 8 * k0) % rbs.length, block)
@@ -205,8 +208,12 @@ def packed_windows(out: np.ndarray, substituted: bytes, byte_perm: WindowPermuta
     realigning xor. The edges run both windows in a small copy of t's
     first and last bytes, laid out as the in-place kernels expect, and
     are xored in apart; when the two ends meet, the copy is all of t.
+    An out of another size raises ValueError, as does a t under 10
+    bytes.
     """
     t = np.frombuffer(substituted, dtype=np.uint8)
+    if out.size != t.size:
+        raise ValueError(f"out holds {out.size} bytes, the substituted bytes {t.size}")
     n, lead, slack = t.size, byte_perm.plan.slack, bit_perm.plan.slack
     margin = -(-slack // 8)
     head, tail = _EDGE + margin + lead, _EDGE + margin
@@ -251,12 +258,17 @@ def packed_unwindows(work: np.ndarray, ciphertext: bytes | memoryview, byte_perm
     window's input. So the ciphertext is xored in at that shift, and
     the in-place kernels then write only the fixups, from the unpacked
     edges of work for the bit window and within work for the byte
-    window.
+    window. A ciphertext under 10 bytes, or a shorter work, raises
+    ValueError.
     """
     cipher = np.frombuffer(ciphertext, dtype=np.uint8)
     n, lead, slack = cipher.size, byte_perm.plan.slack, bit_perm.plan.slack
     whole, part = divmod(slack, 8)
     margin = whole + (part > 0)
+    if n < BYTE_WINDOW:
+        raise ValueError(f"the windows need at least {BYTE_WINDOW} bytes, got {n}")
+    if work.size < n + lead + margin:
+        raise ValueError(f"work holds {work.size} bytes, the windows need {n + lead + margin}")
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
     _xor_realigned(work, cipher, -_window_shift(byte_perm, bit_perm), lo, hi)
     if part:  # the first and the last byte it covers in part

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import ire.ops
 import oracles
 from ire.analysis import (
     ALPHA,
@@ -144,6 +145,12 @@ def test_bench_single_size_is_degenerate(small_keyset):
     assert report.degenerate
     assert report.encrypt_fit.r_squared == 1.0
     assert "degenerate" in report.note
+
+
+def test_bench_refuses_a_pipeline_whose_round_trip_fails(small_keyset, monkeypatch):
+    monkeypatch.setattr(ire.ops, "decrypt", lambda envelope, keyset: b"not the payload")
+    with pytest.raises(RuntimeError, match="warm-up round trip failed"):
+        bench_linear(small_keyset, [16, 64], repetitions=3, rng=random.Random(0))
 
 
 def test_bench_validation(small_keyset):

@@ -181,6 +181,21 @@ def test_library_bug_is_not_an_exit_code(tmp_path, key_file, capsys, monkeypatch
     assert not (tmp_path / "c").exists()
 
 
+def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(ire.cli.os, "replace", refuse)
+    plain = tmp_path / "p"
+    plain.write_bytes(b"never lands")
+    (tmp_path / "c").write_bytes(b"old contents")
+    code, _, err = run(capsys, "encrypt", "--key", key_file, "--in", str(plain), "--out", str(tmp_path / "c"))
+    assert code == 1
+    assert "error: rename refused" in err
+    assert (tmp_path / "c").read_bytes() == b"old contents"
+    assert not list(tmp_path.glob(".ire-tmp-*"))
+
+
 def test_decrypt_with_wrong_rule_keyset(tmp_path, capsys):
     key_b = tmp_path / "b.irek"
     key_a = tmp_path / "a.irek"
@@ -314,6 +329,27 @@ def test_bench_rejects_bad_sizes(capsys):
     assert excinfo.value.code == 2
 
 
+def test_bench_rejects_a_size_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--sizes", "1,x"])
+    assert excinfo.value.code == 2
+    assert "not a comma-separated list of integers: '1,x'" in capsys.readouterr().err
+
+
+def test_bench_without_a_key_uses_an_ephemeral_keyset(capsys):
+    code, out, err = run(capsys, "bench", "--sizes", "16,64", "--reps", "3", "--csv")
+    assert code == 0
+    assert "no key given, benching with an ephemeral keyset" in err
+    assert len(out.strip().splitlines()) == 1 + 2 + 2
+
+
+def test_bench_notes_a_single_size_on_stderr(key_file, capsys):
+    code, out, err = run(capsys, "bench", "--key", key_file, "--sizes", "64", "--reps", "3")
+    assert code == 0
+    assert "note: single size measured: fit is degenerate" in err
+    assert "note" not in out
+
+
 # --- rndtest --------------------------------------------------------------------
 
 def test_rndtest_on_key(tmp_path, capsys):
@@ -382,6 +418,16 @@ def test_rndtest_requires_exactly_one_source(tmp_path, capsys):
 
 
 # --- usage ------------------------------------------------------------------
+
+def test_an_option_before_the_subcommand_is_a_usage_error(tmp_path, key_file, capsys):
+    plain = tmp_path / "p"
+    plain.write_bytes(b"x")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--bogus", "encrypt", "--key", key_file, "--in", str(plain), "--out", str(tmp_path / "c")])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("ire: error: unrecognized arguments: --bogus\n")
+    assert not (tmp_path / "c").exists()
+
 
 def _usage_cases():
     """(argv, exit code, stdout, stderr) for each section of cli_usage.txt."""

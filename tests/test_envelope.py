@@ -15,8 +15,8 @@ from ire.envelope import (
     decode_envelope,
     encode_envelope,
 )
-from ire.errors import EnvelopeFormatError
-from ire.keymat import RULE_A, RULE_B
+from ire.errors import EnvelopeFormatError, KeyFormatError
+from ire.keymat import RULE_A, RULE_B, generate_keyset, parse_keyset, serialize_keyset
 
 
 def sample_envelope(payload=b"0123456789", pad_count=0, offset=6722, rule=RULE_B):
@@ -85,6 +85,25 @@ def test_constructor_validation():
         sample_envelope(payload=memoryview(b"0123456789"), pad_count=11)
     with pytest.raises(TypeError):
         sample_envelope(payload="0123456789")  # not a bytes-like object
+
+
+def test_key_files_and_envelopes_share_their_opening_bytes():
+    # version and rule flag follow the magic alike in both formats, and
+    # one reader checks them, naming the format it was asked to read
+    for rule in (RULE_A, RULE_B):
+        key = serialize_keyset(generate_keyset(random.Random(5), rbs_bits=80, rule=rule))
+        envelope = encode_envelope(sample_envelope(rule=rule))
+        assert key[4:6] == envelope[4:6]
+        assert parse_keyset(key).rule == decode_envelope(envelope).rule_echo == rule
+    with pytest.raises(EnvelopeFormatError, match="bad magic: not an IRE1 envelope"):
+        decode_envelope(key)
+    with pytest.raises(KeyFormatError, match="bad magic: not an IREK key file"):
+        parse_keyset(envelope)
+    for cut, fragment in ((3, "shorter than the magic"), (5, "header cut short"), (22, "header cut short")):
+        with pytest.raises(EnvelopeFormatError, match=f"truncated envelope: {fragment}"):
+            decode_envelope(envelope[:cut])
+        with pytest.raises(KeyFormatError, match=f"truncated key file: {fragment}"):
+            parse_keyset(key[:cut])
 
 
 def test_decode_rejects_bad_magic():
@@ -173,6 +192,14 @@ def test_writable_and_odd_buffers_are_copied_once():
     env = decode_envelope(blob)
     blob[HEADER_LEN:] = bytes(40)
     assert type(env.payload) is bytes and env.payload == bytes(range(40))
+    # a refused bytearray can be resized at once: no view of it outlives
+    # the refusal
+    short = bytearray(b"IRE1" + bytes([1, 1, 0]) + struct.pack("<QQ", 0, 9) + bytes(9))
+    try:
+        decode_envelope(short)
+    except EnvelopeFormatError:
+        short.extend(bytes(1))
+    assert len(short) == HEADER_LEN + 10
     backing = bytearray(b"0123456789abc")
     env = sample_envelope(payload=memoryview(backing))
     backing[0] = ord("X")

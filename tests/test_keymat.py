@@ -10,6 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ire.keymat
 from ire.errors import KeyFormatError
 from ire.keymat import (
     BIT_WINDOW,
@@ -293,6 +294,17 @@ def test_parse_declared_length_checked_before_allocation():
     struct.pack_into("<Q", blob, 352, 1 << 62)  # absurd length, tiny file
     with pytest.raises(KeyFormatError, match="truncated"):
         parse_keyset(bytes(blob))
+
+
+def test_a_bug_past_the_checks_is_not_a_format_error(monkeypatch):
+    # parse_keyset checks all it hands to KeySet, so a ValueError from
+    # there is a bug and must surface as one
+    def broken(**fields):
+        raise ValueError("constructor bug")
+
+    monkeypatch.setattr(ire.keymat, "KeySet", broken)
+    with pytest.raises(ValueError, match="constructor bug"):
+        parse_keyset(serialize_keyset(identity_keyset()))
 
 
 def test_fingerprints_differ():

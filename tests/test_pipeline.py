@@ -277,7 +277,7 @@ def test_packed_unwindows_match_the_unpacked_unpermutes():
             work[shift:shift + 8 * n] = 0
             work = np.packbits(work)[:n + lead + -(-slack // 8)]
             if n < 10:  # shorter than any envelope's payload
-                with pytest.raises((ValueError, IndexError)):
+                with pytest.raises(ValueError):
                     ops.packed_unwindows(work, ciphertext, byte_perm, bit_perm)
                 continue
             substituted = ops.packed_unwindows(work, ciphertext, byte_perm, bit_perm)
@@ -286,6 +286,51 @@ def test_packed_unwindows_match_the_unpacked_unpermutes():
             assert substituted.tobytes() == expected, (n, byte_perm.map, bit_perm.map)
             assert np.shares_memory(substituted, work) and substituted.size == n
             assert bytes(ciphertext) == kept
+
+
+def _slack_keyset(seed):
+    """A keyset whose byte and bit windows both have slack, the bit
+    window's not a whole byte: 9 and 79."""
+    rng = random.Random(seed)
+    base = generate_keyset(rng, rbs_bits=997)
+    return KeySet(base.sub, WindowPermutation(10, _map_with_cycles(10, (9,), rng)),
+                  WindowPermutation(80, _map_with_cycles(80, (79,), rng)), base.rbs, base.rule)
+
+
+def test_packed_combine_rejects_an_unknown_rule():
+    out = np.zeros(20, dtype=np.uint8)
+    with pytest.raises(ValueError, match="rule must be one of"):
+        ops.packed_combine(out, _slack_keyset(167).rbs, 0, "C")
+
+
+def test_packed_windows_reject_an_out_of_another_size():
+    keyset = _slack_keyset(173)
+    for size in (19, 21, 40):
+        out = np.zeros(size, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"out holds {size} bytes, the substituted bytes 20"):
+            ops.packed_windows(out, bytes(20), keyset.byte_perm, keyset.bit_perm)
+        assert not out.any()
+
+
+def test_packed_unwindows_reject_a_ciphertext_under_ten_bytes():
+    keyset = _slack_keyset(179)
+    for n in range(10):
+        work = np.zeros(n + 30, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"at least 10 bytes, got {n}"):
+            ops.packed_unwindows(work, bytes(n), keyset.byte_perm, keyset.bit_perm)
+        assert not work.any()
+
+
+def test_packed_unwindows_reject_a_short_work():
+    # work needs n + L + ceil(S / 8) bytes: 20 + 9 + 10 here
+    keyset = _slack_keyset(181)
+    assert (keyset.byte_perm.plan.slack, keyset.bit_perm.plan.slack) == (9, 79)
+    for size in (20, 38):
+        work = np.zeros(size, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"work holds {size} bytes, the windows need 39"):
+            ops.packed_unwindows(work, bytes(20), keyset.byte_perm, keyset.bit_perm)
+        assert not work.any()
+    ops.packed_unwindows(np.zeros(39, dtype=np.uint8), bytes(20), keyset.byte_perm, keyset.bit_perm)
 
 
 def _flipped_bits(a, b):
