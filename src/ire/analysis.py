@@ -154,6 +154,17 @@ def _fit(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     return LineFit(float(slope), float(intercept), max(0.0, min(1.0, r_squared)))
 
 
+def _bench_plan_error(sizes: Sequence[int], repetitions: int, sizes_name: str, repetitions_name: str) -> str:
+    """The rules bench_linear and ire bench hold a plan to: the message for
+    the first that sizes and repetitions break, naming them as the caller
+    does, or "" when they break none."""
+    if repetitions < 3:
+        return f"{repetitions_name} must be at least 3"
+    if not sizes or min(sizes) < 10 or sorted(set(sizes)) != list(sizes):
+        return f"{sizes_name} must be strictly increasing and at least 10 bytes each"
+    return ""
+
+
 def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -> BenchReport:
     """Median in-memory encrypt/decrypt time per payload size, with a
     least-squares line fit per direction.
@@ -167,14 +178,9 @@ def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -
     from .ops import decrypt, encrypt  # imported here: ops -> keymat -> keystream -> this module
 
     size_list = [int(s) for s in sizes]
-    if not size_list:
-        raise ValueError("need at least one size")
-    if any(s < 10 for s in size_list):
-        raise ValueError("every size must be at least 10 bytes")
-    if sorted(set(size_list)) != size_list:
-        raise ValueError("sizes must be strictly increasing")
-    if repetitions < 3:
-        raise ValueError("need at least 3 repetitions")
+    error = _bench_plan_error(size_list, repetitions, "sizes", "repetitions")
+    if error:
+        raise ValueError(error)
 
     points: list[BenchPoint] = []
     note = ""
@@ -206,7 +212,7 @@ def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -
             break
 
     if not points:
-        raise ValueError(f"no size could be measured ({note or 'empty size list'})")
+        raise ValueError(f"no size could be measured ({note})")
     xs = [p.size for p in points]
     degenerate = len(points) == 1
     if degenerate and not note:

@@ -120,10 +120,9 @@ def parse_args(argv) -> argparse.Namespace:
     elif args.subcommand == "encrypt" and args.offset is not None and args.offset < 0:
         parser.error("--offset must be non-negative")
     elif args.subcommand == "bench":
-        if args.reps < 3:
-            parser.error("--reps must be at least 3")
-        if not args.sizes or any(s < 10 for s in args.sizes) or sorted(set(args.sizes)) != list(args.sizes):
-            parser.error("--sizes must be strictly increasing and at least 10 bytes each")
+        error = analysis._bench_plan_error(args.sizes, args.reps, "--sizes", "--reps")
+        if error:
+            parser.error(error)
     elif args.subcommand == "rndtest" and (args.key is None) == (args.input is None):
         parser.error("give exactly one of --key or --in")
     return args

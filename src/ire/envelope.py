@@ -10,9 +10,12 @@ Wire layout (IRE1 version 1, all integers little-endian):
     offset 15  payload byte length, u64
     offset 23  payload
 
-The first six bytes are those an IREK key file opens with, and
-keymat._read_header checks them for both. decode_envelope checks the
-fields only it reads, the pad count and the declared length;
+The header, offsets 0 to 22, is the one struct format _HEADER;
+encode_envelope packs it and decode_envelope reads its fields back. Its
+first six bytes are those an IREK key file opens with, and
+keymat._read_header checks them for both and returns the other fields.
+decode_envelope checks the fields only it reads, the pad count and the
+declared length;
 CipherEnvelope checks the rest of what an envelope must hold, for
 decoded and built envelopes alike.
 
@@ -47,7 +50,9 @@ __all__ = [
 
 ENVELOPE_MAGIC = b"IRE1"
 ENVELOPE_VERSION = 1
-HEADER_LEN = 23
+# magic, version, rule flag, pad count, start offset, payload length
+_HEADER = struct.Struct("<4sBBBQQ")
+HEADER_LEN = _HEADER.size
 
 # a payload fills at least one byte window, and padding only ever
 # brings a message up to one
@@ -121,11 +126,11 @@ def _is_byte_view(payload) -> bool:
 
 
 def encode_envelope(envelope: CipherEnvelope) -> bytes:
-    """Produce the byte-exact IRE1 v1 image: 23-byte header, then payload."""
+    """Produce the byte-exact IRE1 v1 image: the header packed through
+    _HEADER, then the payload."""
     return b"".join([
-        ENVELOPE_MAGIC,
-        bytes([ENVELOPE_VERSION, _RULE_FLAGS[envelope.rule_echo], envelope.pad_count]),
-        struct.pack("<QQ", envelope.start_offset, len(envelope.payload)),
+        _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION, _RULE_FLAGS[envelope.rule_echo],
+                     envelope.pad_count, envelope.start_offset, len(envelope.payload)),
         envelope.payload,
     ])
 
@@ -143,11 +148,10 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
     bytes or a nonzero pad count beside one of more, it refuses here
     too, as an EnvelopeFormatError with the same message.
     """
-    rule = _read_header(data, ENVELOPE_MAGIC, ENVELOPE_VERSION, HEADER_LEN, EnvelopeFormatError, "envelope")
-    pad_count = data[6]
+    rule, pad_count, start_offset, declared = _read_header(
+        data, _HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION, EnvelopeFormatError, "envelope")
     if pad_count > _MAX_PAD:
         raise EnvelopeFormatError(f"pad count {pad_count} exceeds {_MAX_PAD}")
-    start_offset, declared = struct.unpack_from("<QQ", data, 7)
     actual = len(data) - HEADER_LEN
     if declared > actual:
         raise EnvelopeFormatError(f"truncated payload: header declares {declared} bytes, {actual} present")

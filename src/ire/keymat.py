@@ -12,11 +12,14 @@ The keyset file format (IREK version 1, all integers little-endian):
     offset 360  RBS bits, MSB-first packed, ceil(length/8) bytes;
                 pad bits of the final byte are zero
 
-The inverse substitution table is not stored; it is rebuilt on load.
+The fixed-size part, offsets 0 to 359, is the one struct format _HEADER;
+serialize_keyset packs it and parse_keyset reads its fields back. The
+inverse substitution table is not stored; it is rebuilt on load.
 
 An IRE1 envelope (envelope.py) opens with the same six bytes: magic,
-version and rule flag. _read_header checks them for both formats, and
-_RULE_FLAGS is the one statement of the flag's encoding.
+version and rule flag. _read_header checks them and unpacks the fixed
+header for both formats, and _RULE_FLAGS is the one statement of the
+flag's encoding.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ KEY_VERSION = 1
 
 _RULE_FLAGS = {RULE_A: 0, RULE_B: 1}
 _FLAG_RULES = {flag: rule for rule, flag in _RULE_FLAGS.items()}
-_RBS_LENGTH_AT = 352
-_RBS_AT = 360
+# magic, version, rule flag, substitution table, byte-window map,
+# bit-window map, RBS bit length; the packed RBS follows
+_HEADER = struct.Struct("<4sBB256s10s80sQ")
 _IDENTITY = bytes(range(256))
 
 
@@ -163,8 +167,6 @@ def generate_substitution_table(rng: random.Random | None = None) -> Substitutio
 
 def generate_window_permutation(rng: random.Random | None, width: int) -> WindowPermutation:
     """Draw a uniformly random window permutation of the given width."""
-    if width < 1:
-        raise ValueError("window width must be positive")
     return WindowPermutation(width, tuple(_fisher_yates(width, resolve_rng(rng))))
 
 
@@ -192,38 +194,40 @@ def generate_keyset(
 def serialize_keyset(keyset: KeySet) -> bytes:
     """Produce the byte-exact IREK v1 image of a keyset.
 
-    The packed loop is joined into the image straight from the keyset,
-    so the image is the only loop-sized allocation.
+    The fixed header is packed through _HEADER, and the packed loop is
+    joined after it straight from the keyset, so the image is the only
+    loop-sized allocation.
     """
     return b"".join([
-        KEY_MAGIC,
-        bytes([KEY_VERSION, _RULE_FLAGS[keyset.rule]]),
-        keyset.sub.forward,
-        bytes(keyset.byte_perm.map),
-        bytes(keyset.bit_perm.map),
-        struct.pack("<Q", keyset.rbs.length),
+        _HEADER.pack(KEY_MAGIC, KEY_VERSION, _RULE_FLAGS[keyset.rule], keyset.sub.forward,
+                     bytes(keyset.byte_perm.map), bytes(keyset.bit_perm.map), keyset.rbs.length),
         keyset.rbs.packed,
     ])
 
 
-def _read_header(data, magic: bytes, version: int, min_len: int, error: type[Exception], kind: str) -> str:
-    """Check the six bytes an IREK key file and an IRE1 envelope both
-    open with, magic, version and rule flag, and that data holds the
-    format's fixed-size header, min_len bytes; return the rule. A failed
-    check raises error with a message that names kind, "key file" or
+def _read_header(data, header: struct.Struct, magic: bytes, version: int, error: type[Exception], kind: str) -> tuple:
+    """Read the fixed-size header of an IREK key file or an IRE1
+    envelope, whose struct format header states, and return the rule
+    followed by the format's fields after the rule flag.
+
+    Both formats open with the same six bytes: magic, version and rule
+    flag. The magic is checked first, then that data holds all
+    header.size bytes, then the version and the flag. A failed check
+    raises error with a message that names kind, "key file" or
     "envelope".
     """
     if len(data) < len(magic):
         raise error(f"truncated {kind}: shorter than the magic")
     if data[:len(magic)] != magic:
         raise error(f"bad magic: not an {magic.decode()} {kind}")
-    if len(data) < min_len:
+    if len(data) < header.size:
         raise error(f"truncated {kind}: header cut short")
-    if data[4] != version:
-        raise error(f"unsupported {kind} version {data[4]}")
-    if data[5] not in _FLAG_RULES:
-        raise error(f"invalid rule flag {data[5]:#04x}")
-    return _FLAG_RULES[data[5]]
+    fields = header.unpack_from(data)  # magic, version, rule flag, then the format's own
+    if fields[1] != version:
+        raise error(f"unsupported {kind} version {fields[1]}")
+    if fields[2] not in _FLAG_RULES:
+        raise error(f"invalid rule flag {fields[2]:#04x}")
+    return (_FLAG_RULES[fields[2]],) + fields[3:]
 
 
 def parse_keyset(data: bytes) -> KeySet:
@@ -236,21 +240,18 @@ def parse_keyset(data: bytes) -> KeySet:
     alive; data given as a bytearray, or a view of one, is copied once,
     as RbsLoop.from_packed does.
     """
-    rule = _read_header(data, KEY_MAGIC, KEY_VERSION, _RBS_AT, KeyFormatError, "key file")
-    forward = data[6:262]
+    rule, forward, byte_map, bit_map, rbs_bits = _read_header(
+        data, _HEADER, KEY_MAGIC, KEY_VERSION, KeyFormatError, "key file")
     if len(set(forward)) != 256:
         raise KeyFormatError("invalid substitution table: not a bijection")
-    byte_map = tuple(data[262:272])
     if sorted(byte_map) != list(range(BYTE_WINDOW)):
         raise KeyFormatError("byte-window map is not a permutation of 0..9")
-    bit_map = tuple(data[272:352])
     if sorted(bit_map) != list(range(BIT_WINDOW)):
         raise KeyFormatError("bit-window map is not a permutation of 0..79")
 
-    (rbs_bits,) = struct.unpack_from("<Q", data, _RBS_LENGTH_AT)
     if rbs_bits < RbsLoop.MIN_BITS:
         raise KeyFormatError(f"RBS shorter than {RbsLoop.MIN_BITS} bits")
-    expected = _RBS_AT + (rbs_bits + 7) // 8  # checked before any allocation
+    expected = _HEADER.size + (rbs_bits + 7) // 8  # checked before any allocation
     if len(data) < expected:
         raise KeyFormatError("truncated key file: RBS section cut short")
     if len(data) > expected:
@@ -263,7 +264,7 @@ def parse_keyset(data: bytes) -> KeySet:
         sub=SubstitutionTable.from_forward(forward),
         byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
         bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
-        rbs=RbsLoop.from_packed(memoryview(data)[_RBS_AT:], rbs_bits),
+        rbs=RbsLoop.from_packed(memoryview(data)[_HEADER.size:], rbs_bits),
         rule=rule,
     )
 

@@ -153,6 +153,31 @@ def test_bench_refuses_a_pipeline_whose_round_trip_fails(small_keyset, monkeypat
         bench_linear(small_keyset, [16, 64], repetitions=3, rng=random.Random(0))
 
 
+def _encrypt_out_of_memory_from(size, monkeypatch):
+    encrypt = ire.ops.encrypt
+
+    def bounded(payload, keyset, offset):
+        if len(payload) >= size:
+            raise MemoryError
+        return encrypt(payload, keyset, offset)
+
+    monkeypatch.setattr(ire.ops, "encrypt", bounded)
+
+
+def test_bench_stops_at_the_size_that_runs_out_of_memory(small_keyset, monkeypatch):
+    _encrypt_out_of_memory_from(64, monkeypatch)
+    report = bench_linear(small_keyset, [16, 64, 256], repetitions=3, rng=random.Random(0))
+    assert [p.size for p in report.points] == [16]
+    assert report.degenerate
+    assert report.note == "stopped before size 64: out of memory"
+
+
+def test_bench_out_of_memory_at_the_first_size_measures_nothing(small_keyset, monkeypatch):
+    _encrypt_out_of_memory_from(16, monkeypatch)
+    with pytest.raises(ValueError, match="no size could be measured .stopped before size 16: out of memory."):
+        bench_linear(small_keyset, [16, 64], repetitions=3, rng=random.Random(0))
+
+
 def test_bench_validation(small_keyset):
     with pytest.raises(ValueError):
         bench_linear(small_keyset, [])

@@ -26,6 +26,15 @@ def key_file(tmp_path, capsys):
     return str(path)
 
 
+def test_app_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(sys, "argv", ["ire", "decrypt", "--key", missing, "--in", missing, "--out", missing])
+    with pytest.raises(SystemExit) as excinfo:
+        ire.cli.app()
+    assert excinfo.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # --- keygen -----------------------------------------------------------------
 
 def test_keygen_writes_expected_size(tmp_path, capsys):
@@ -181,8 +190,11 @@ def test_library_bug_is_not_an_exit_code(tmp_path, key_file, capsys, monkeypatch
     assert not (tmp_path / "c").exists()
 
 
-def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monkeypatch):
+@pytest.mark.parametrize("temporary_gone", [False, True])
+def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monkeypatch, temporary_gone):
     def refuse(src, dst):
+        if temporary_gone:  # the cleanup's unlink then finds nothing, and the rename's error still stands
+            os.unlink(src)
         raise OSError("rename refused")
 
     monkeypatch.setattr(ire.cli.os, "replace", refuse)

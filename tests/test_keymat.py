@@ -86,6 +86,10 @@ def test_table_validation():
     bad_inverse = bytes([1, 0]) + good[2:]
     with pytest.raises(ValueError):
         SubstitutionTable(good, bad_inverse)
+    with pytest.raises(ValueError, match="inverse table must hold 256 entries"):
+        SubstitutionTable(good, good[:255])
+    with pytest.raises(ValueError, match="must be a bijection"):
+        SubstitutionTable.from_forward(good[:255])
 
 
 def test_window_permutation_validation():
@@ -97,6 +101,9 @@ def test_window_permutation_validation():
         WindowPermutation(3, (0, 1, 1))  # repeated index
     with pytest.raises(ValueError):
         WindowPermutation(3, (0, 1, 3))  # out of range
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="window width must be positive"):
+            generate_window_permutation(random.Random(0), width)
 
 
 def test_invert_window_permutation_known_vector():

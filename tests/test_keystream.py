@@ -30,6 +30,16 @@ def test_loop_validation():
         RbsLoop(np.zeros((8, 10), dtype=np.uint8))
     with pytest.raises(ValueError):
         RbsLoop(np.full(80, 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="bit index must be non-negative"):
+        RbsLoop(np.zeros(80, dtype=np.uint8)).bit_at(-1)
+
+
+def test_loop_compares_only_with_loops_and_shows_its_length():
+    loop = make_loop("10", 80)
+    assert loop == make_loop("10", 80)
+    assert loop != make_loop("01", 80)
+    assert (loop == 1) is False
+    assert repr(loop) == "RbsLoop(length=80)"
 
 
 def test_loop_is_immutable():
