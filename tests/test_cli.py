@@ -190,8 +190,7 @@ def test_library_bug_is_not_an_exit_code(tmp_path, key_file, capsys, monkeypatch
     assert not (tmp_path / "c").exists()
 
 
-@pytest.mark.parametrize("temporary_gone", [False, True])
-def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monkeypatch, temporary_gone):
+def _encrypt_with_refused_rename(tmp_path, key_file, capsys, monkeypatch, temporary_gone):
     def refuse(src, dst):
         if temporary_gone:  # the cleanup's unlink then finds nothing, and the rename's error still stands
             os.unlink(src)
@@ -206,6 +205,14 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monk
     assert "error: rename refused" in err
     assert (tmp_path / "c").read_bytes() == b"old contents"
     assert not list(tmp_path.glob(".ire-tmp-*"))
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, key_file, capsys, monkeypatch):
+    _encrypt_with_refused_rename(tmp_path, key_file, capsys, monkeypatch, temporary_gone=False)
+
+
+def test_failed_rename_with_temporary_already_gone(tmp_path, key_file, capsys, monkeypatch):
+    _encrypt_with_refused_rename(tmp_path, key_file, capsys, monkeypatch, temporary_gone=True)
 
 
 def test_decrypt_with_wrong_rule_keyset(tmp_path, capsys):
