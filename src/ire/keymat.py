@@ -14,7 +14,8 @@ The keyset file format (IREK version 1, all integers little-endian):
 
 The fixed-size part, offsets 0 to 359, is the one struct format _HEADER;
 serialize_keyset packs it and parse_keyset reads its fields back. The
-inverse substitution table is not stored; it is rebuilt on load.
+inverse substitution table is not stored: SubstitutionTable derives it
+from the forward table.
 
 An IRE1 envelope (envelope.py) opens with the same six bytes: magic,
 version and rule flag. _read_header checks them and unpacks the fixed
@@ -27,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .entropy import resolve_rng
@@ -75,29 +76,25 @@ _IDENTITY = bytes(range(256))
 
 @dataclass(frozen=True)
 class SubstitutionTable:
-    """A bijection on the 256 byte values plus its inverse."""
+    """A bijection on the 256 byte values, built from forward alone.
+
+    forward is held as bytes, so changing the source later never
+    changes the table; inverse is derived from it.
+    """
 
     forward: bytes
-    inverse: bytes
+    inverse: bytes = field(init=False)
 
     def __post_init__(self):
-        if len(self.forward) != 256 or len(set(self.forward)) != 256:
+        forward = bytes(self.forward)
+        if len(forward) != 256 or len(set(forward)) != 256:
             raise ValueError("forward table must be a bijection on the 256 byte values")
-        if len(self.inverse) != 256:
-            raise ValueError("inverse table must hold 256 entries")
-        if self.forward.translate(self.inverse) != _IDENTITY:
-            raise ValueError("inverse table does not invert the forward table")
-
-    @classmethod
-    def from_forward(cls, forward: bytes) -> "SubstitutionTable":
-        """Build the inverse; this is how a stored table is rehydrated."""
-        if len(forward) != 256:
-            raise ValueError("forward table must be a bijection on the 256 byte values")
-        return cls(bytes(forward), bytes.maketrans(forward, _IDENTITY))
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "inverse", bytes.maketrans(forward, _IDENTITY))
 
     @classmethod
     def identity(cls) -> "SubstitutionTable":
-        return cls(_IDENTITY, _IDENTITY)
+        return cls(_IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def _fisher_yates(count: int, rng: random.Random) -> list[int]:
 
 def generate_substitution_table(rng: random.Random | None = None) -> SubstitutionTable:
     """Draw a uniformly random byte bijection."""
-    return SubstitutionTable.from_forward(bytes(_fisher_yates(256, resolve_rng(rng))))
+    return SubstitutionTable(bytes(_fisher_yates(256, resolve_rng(rng))))
 
 
 def generate_window_permutation(rng: random.Random | None, width: int) -> WindowPermutation:
@@ -261,7 +258,7 @@ def parse_keyset(data: bytes) -> KeySet:
         raise KeyFormatError("nonzero pad bits after the RBS")
 
     return KeySet(
-        sub=SubstitutionTable.from_forward(forward),
+        sub=SubstitutionTable(forward),
         byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
         bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
         rbs=RbsLoop.from_packed(memoryview(data)[_HEADER.size:], rbs_bits),

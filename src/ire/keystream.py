@@ -23,19 +23,20 @@ class RbsLoop:
     The final bit wraps around to the first, so any amount of keystream
     can be drawn starting from any bit. The loop is stored only as
     MSB-first packed bytes, eight bits to a byte, with the pad bits of
-    the last byte zero; read draws packed keystream from it, and bits
+    the last byte zero. packed is that array, and from_packed builds a
+    loop from such bytes; read draws packed keystream from it, and bits
     and fragment unpack on demand. Instances are immutable.
     """
 
     MIN_BITS = 80
 
     def __init__(self, bits: np.ndarray):
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if np.any(arr > 1):
+        if not np.all((arr == 0) | (arr == 1)):  # before the cast, which would wrap 256 to 0
             raise ValueError("bits must be 0 or 1")
-        self._store(np.packbits(arr), arr.size)
+        self._store(np.packbits(arr.astype(np.uint8, copy=False)), arr.size)
 
     def _store(self, packed: np.ndarray, length: int) -> None:
         if length < self.MIN_BITS:
@@ -43,13 +44,6 @@ class RbsLoop:
         packed.setflags(write=False)
         self._packed = packed
         self._length = length
-
-    @classmethod
-    def _wrap(cls, packed: np.ndarray, length: int) -> "RbsLoop":
-        """A loop over packed bytes that nothing writes to, pad bits already zero."""
-        loop = cls.__new__(cls)
-        loop._store(packed, length)
-        return loop
 
     @property
     def length(self) -> int:
@@ -125,13 +119,10 @@ class RbsLoop:
         self.read(offset, packed)
         return np.unpackbits(packed, count=count)
 
-    def to_packed(self) -> bytes:
-        """MSB-first packed bytes; pad bits in the last byte are zero."""
-        return self._packed.tobytes()
-
     @classmethod
     def from_packed(cls, data: bytes | bytearray | memoryview, bit_length: int) -> "RbsLoop":
-        """Rebuild a loop from MSB-first packed bytes.
+        """Build a loop from MSB-first packed bytes; the one route from
+        packed bytes, which generate_rbs and parse_keyset both take.
 
         When data's memory belongs to a bytes object (data is bytes or a
         view of one) and the pad bits after bit_length are zero, the loop
@@ -150,7 +141,9 @@ class RbsLoop:
             packed = packed.copy()
             if pad:
                 packed[-1] &= 0xFF << pad & 0xFF
-        return cls._wrap(packed, bit_length)
+        loop = cls.__new__(cls)
+        loop._store(packed, bit_length)
+        return loop
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RbsLoop):
@@ -195,16 +188,17 @@ def choose_offset(rng: random.Random | None, bit_length: int) -> int:
     return resolve_rng(rng).randrange(bit_length)
 
 
-def _random_bits(rng: random.Random, count: int) -> np.ndarray:
+def _random_bits(rng: random.Random, count: int) -> bytes:
     """count random bits, MSB-first packed with the pad bits zero.
 
     The bits are those of getrandbits(count), most significant first.
+    A bytes object, so RbsLoop.from_packed views it instead of copying.
     """
     nbytes = (count + 7) // 8
     value = rng.getrandbits(count)
     if count % 8:  # a shift makes a copy of the int, even by 0
         value <<= 8 * nbytes - count
-    return np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
+    return value.to_bytes(nbytes, "big")
 
 
 def generate_rbs(rng: random.Random | None = None, bit_length: int = DEFAULT_RBS_BITS) -> RbsLoop:
@@ -219,10 +213,10 @@ def generate_rbs(rng: random.Random | None = None, bit_length: int = DEFAULT_RBS
         raise ValueError(f"an RBS holds at least {RbsLoop.MIN_BITS} bits, got {bit_length}")
     rng = resolve_rng(rng)
     for _ in range(_MONOBIT_ATTEMPTS):
-        packed = _random_bits(rng, bit_length)
+        loop = RbsLoop.from_packed(_random_bits(rng, bit_length), bit_length)
         # pad bits are zero, so the ones of the packed bytes are the loop's
-        if bit_length < MIN_TEST_BITS or monobit_verdict(count_ones(packed), bit_length).passed:
-            return RbsLoop._wrap(packed, bit_length)
+        if bit_length < MIN_TEST_BITS or monobit_verdict(count_ones(loop.packed), bit_length).passed:
+            return loop
     raise GenerationError(
         f"monobit gate rejected {_MONOBIT_ATTEMPTS} candidate loops in a row; "
         "the entropy source looks broken"

@@ -30,7 +30,7 @@ from ire.keymat import (
     serialize_keyset,
 )
 from ire.keystream import RbsLoop
-from ire.ops import decrypt, encrypt
+from ire.ops import decrypt, encrypt, substitute, unsubstitute
 
 
 class ZeroSwapRng(random.Random):
@@ -72,24 +72,25 @@ def test_known_substitution_pair_inverts():
     forward = bytearray(range(256))
     forward[0x6C], forward[0x4D] = 0x4D, 0x6C
     forward[0x55], forward[0x71] = 0x71, 0x55
-    table = SubstitutionTable.from_forward(bytes(forward))
+    table = SubstitutionTable(bytes(forward))
     assert table.forward[0x6C] == 0x4D and table.forward[0x55] == 0x71
     assert table.inverse[0x4D] == 0x6C and table.inverse[0x71] == 0x55
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        SubstitutionTable(bytes(256), bytes(256))  # constant, not a bijection
-    with pytest.raises(ValueError):
-        SubstitutionTable(bytes(range(255)), bytes(range(255)))  # short
-    good = bytes(range(256))
-    bad_inverse = bytes([1, 0]) + good[2:]
-    with pytest.raises(ValueError):
-        SubstitutionTable(good, bad_inverse)
-    with pytest.raises(ValueError, match="inverse table must hold 256 entries"):
-        SubstitutionTable(good, good[:255])
-    with pytest.raises(ValueError, match="must be a bijection"):
-        SubstitutionTable.from_forward(good[:255])
+    for forward in (bytes(range(255)), bytes(range(256)) + b"\x00", bytes(256)):  # short, long, constant
+        with pytest.raises(ValueError, match="must be a bijection"):
+            SubstitutionTable(forward)
+    source = bytearray(range(256))
+    source[0], source[1] = 1, 0
+    table = SubstitutionTable(source)
+    assert type(table.forward) is bytes and hash(table) == hash(SubstitutionTable(bytes(source)))
+    source[0] = 0  # a later change to the source leaves the table as it was
+    assert table.forward[:2] == b"\x01\x00"
+    assert unsubstitute(substitute(b"\x00\x01", table), table) == b"\x00\x01"
+    for seed in range(5):
+        table = generate_substitution_table(random.Random(seed))
+        assert table.forward.translate(table.inverse) == bytes(range(256))
 
 
 def test_window_permutation_validation():

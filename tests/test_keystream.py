@@ -28,8 +28,11 @@ def test_loop_validation():
         RbsLoop(np.zeros(79, dtype=np.uint8))  # below the bit-window width
     with pytest.raises(ValueError):
         RbsLoop(np.zeros((8, 10), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        RbsLoop(np.full(80, 2, dtype=np.uint8))
+    for bits in (np.full(80, 2, dtype=np.uint8), np.array([256] * 80 + [1] * 20),
+                 np.array([-256] * 80 + [1] * 20), np.full(100, 0.5), [256] + [0] * 99):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):  # checked before any cast
+            RbsLoop(bits)
+    assert RbsLoop(np.ones(80, dtype=bool)) == RbsLoop(np.ones(80, dtype=np.uint8))
     with pytest.raises(ValueError, match="bit index must be non-negative"):
         RbsLoop(np.zeros(80, dtype=np.uint8)).bit_at(-1)
 
@@ -105,7 +108,7 @@ def test_packed_round_trip():
     for length in (80, 81, 88, 100, 731):
         bits = np.array([rng.randrange(2) for _ in range(length)], dtype=np.uint8)
         loop = RbsLoop(bits)
-        packed = loop.to_packed()
+        packed = loop.packed.tobytes()
         assert len(packed) == (length + 7) // 8
         assert RbsLoop.from_packed(packed, length) == loop
 
@@ -119,7 +122,7 @@ def test_from_packed_rejects_bad_length():
 
 def test_from_packed_zeroes_pad_bits_and_copies():
     loop = RbsLoop.from_packed(b"\xff" * 11, 81)  # a raw file read as 81 bits
-    assert loop.to_packed() == b"\xff" * 10 + b"\x80"
+    assert loop.packed.tobytes() == b"\xff" * 10 + b"\x80"
     assert loop == RbsLoop(np.ones(81, dtype=np.uint8))
     source = bytearray(b"\x0f" * 10)
     loop = RbsLoop.from_packed(source, 80)
@@ -136,7 +139,7 @@ def test_from_packed_views_bytes_and_copies_other_buffers():
         source[:] = data
         loop = RbsLoop.from_packed(source, 88)
         source[:] = bytes(len(data))
-    assert loop.to_packed() == data
+    assert loop.packed.tobytes() == data
 
 
 # --- the packed loop against its unpacked definition -------------------------
@@ -196,7 +199,7 @@ def test_generate_rbs_matches_unpacked_definition(seed, length, draws):
     expected, used = generate_rbs_unpacked(random.Random(seed), length)
     assert used == draws  # the seeds with draws == 2 do take the redraw path
     loop = generate_rbs(random.Random(seed), length)
-    assert loop.to_packed() == expected
+    assert loop.packed.tobytes() == expected
     assert np.array_equal(loop.bits, np.unpackbits(np.frombuffer(expected, dtype=np.uint8), count=length))
 
 
@@ -245,7 +248,7 @@ def test_generate_rbs_default_length_known_answer():
     # a seeded default-size loop stays bit-identical
     loop = generate_rbs(random.Random(5))
     assert loop.length == DEFAULT_RBS_BITS
-    assert hashlib.sha256(loop.to_packed()).hexdigest() == (
+    assert hashlib.sha256(loop.packed.tobytes()).hexdigest() == (
         "8968dd967f8589e4d11dff3ba164545597d7e98f2d00270a2dc40939aa35bf24")
 
 

@@ -79,7 +79,7 @@ def test_unpad_keeps_plain_spaces():
 def test_substitute_known_pair():
     forward = bytearray(range(256))
     forward[0x6C], forward[0x4D] = 0x4D, 0x6C
-    table = SubstitutionTable.from_forward(bytes(forward))
+    table = SubstitutionTable(bytes(forward))
     assert substitute(b"lM", table) == b"Ml"
     assert unsubstitute(b"Ml", table) == b"lM"
 

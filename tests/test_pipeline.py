@@ -568,3 +568,17 @@ def test_readme_library_example_runs():
     imported = re.search(r"from ire import \((.*?)\)", example, re.DOTALL).group(1)
     assert {name.strip() for name in imported.split(",") if name.strip()} <= set(ire.__all__)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition goes breaks star imports
+    import importlib
+    import pkgutil
+
+    import ire
+
+    modules = [ire] + [importlib.import_module(f"ire.{info.name}") for info in pkgutil.iter_modules(ire.__path__)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert {module.__name__ for module in exporting} >= {"ire", "ire.keymat", "ire.keystream", "ire.ops"}
+    for module in exporting:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
