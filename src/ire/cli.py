@@ -6,9 +6,9 @@ and propagates.
 Output files are written to a temporary name and renamed into place on
 success, so a failing run never leaves a partial file behind.
 
-parse_args builds the parser with arguments for the one subcommand
-that runs (build_parser) and makes the checks that argparse cannot
-state; a usage error exits before any file is read.
+parse_args builds the whole parser (build_parser), lets argparse read
+the arguments and makes the checks that argparse cannot state; a usage
+error exits before any file is read.
 """
 
 from __future__ import annotations
@@ -36,7 +36,17 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _keygen_arguments(keygen: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The ire parser: each subcommand with its arguments and the
+    function that runs it (args.run)."""
+    parser = argparse.ArgumentParser(
+        prog="ire",
+        description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    keygen = sub.add_parser("keygen", help="generate a keyset file")
+    keygen.set_defaults(run=run_keygen)
     keygen.add_argument("--out", required=True, metavar="PATH", help="where to write the key file")
     keygen.add_argument("--rbs-bits", type=int, default=keystream.DEFAULT_RBS_BITS, metavar="N",
                         help="random bit sequence length in bits (default %(default)s)")
@@ -45,8 +55,8 @@ def _keygen_arguments(keygen: argparse.ArgumentParser) -> None:
     keygen.add_argument("--seed", type=int, default=None, metavar="N",
                         help="deterministic generation for tests; NOT secure")
 
-
-def _encrypt_arguments(encrypt: argparse.ArgumentParser) -> None:
+    encrypt = sub.add_parser("encrypt", help="encrypt a file")
+    encrypt.set_defaults(run=run_encrypt)
     encrypt.add_argument("--key", required=True, metavar="PATH")
     encrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     encrypt.add_argument("--out", required=True, metavar="PATH")
@@ -57,14 +67,16 @@ def _encrypt_arguments(encrypt: argparse.ArgumentParser) -> None:
     encrypt.add_argument("-v", "--verbose", action="store_true",
                          help="print the chosen start offset to stderr")
 
-
-def _decrypt_arguments(decrypt: argparse.ArgumentParser) -> None:
+    decrypt = sub.add_parser("decrypt", help="decrypt an envelope file")
+    decrypt.set_defaults(run=run_decrypt)
     decrypt.add_argument("--key", required=True, metavar="PATH")
     decrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     decrypt.add_argument("--out", required=True, metavar="PATH")
 
+    sub.add_parser("selftest", help="run the built-in known-answer checks").set_defaults(run=run_selftest)
 
-def _bench_arguments(bench: argparse.ArgumentParser) -> None:
+    bench = sub.add_parser("bench", help="measure encrypt/decrypt scaling")
+    bench.set_defaults(run=run_bench)
     bench.add_argument("--key", default=None, metavar="PATH",
                        help="keyset to bench with (default: ephemeral keyset)")
     bench.add_argument("--sizes", type=_sizes_arg, default=DEFAULT_BENCH_SIZES, metavar="N,N,...",
@@ -73,47 +85,18 @@ def _bench_arguments(bench: argparse.ArgumentParser) -> None:
                        help="timed repetitions per size, minimum 3 (default %(default)s)")
     bench.add_argument("--csv", action="store_true", help="machine-readable output")
 
-
-def _rndtest_arguments(rndtest: argparse.ArgumentParser) -> None:
+    rndtest = sub.add_parser("rndtest", help="run randomness checks over keystream bits")
+    rndtest.set_defaults(run=run_rndtest)
     rndtest.add_argument("--key", default=None, metavar="PATH",
                          help="check the RBS inside a keyset file")
     rndtest.add_argument("--in", dest="input", default=None, metavar="PATH",
                          help="check a raw bit file (MSB-first packed bytes)")
     rndtest.add_argument("--csv", action="store_true", help="machine-readable output")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ire parser, with arguments added only to the subcommand that
-    command names.
-
-    argparse parses the arguments of the chosen subcommand only, and
-    adding every subcommand's would be most of the CLI's start-up time;
-    ire --help lists the subcommands without them.
-    """
-    parser = argparse.ArgumentParser(
-        prog="ire",
-        description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text, run, add_arguments in (
-            ("keygen", "generate a keyset file", run_keygen, _keygen_arguments),
-            ("encrypt", "encrypt a file", run_encrypt, _encrypt_arguments),
-            ("decrypt", "decrypt an envelope file", run_decrypt, _decrypt_arguments),
-            ("selftest", "run the built-in known-answer checks", run_selftest, None),
-            ("bench", "measure encrypt/decrypt scaling", run_bench, _bench_arguments),
-            ("rndtest", "run randomness checks over keystream bits", run_rndtest, _rndtest_arguments)):
-        command_parser = sub.add_parser(name, help=help_text)
-        command_parser.set_defaults(run=run)
-        if name == command and add_arguments is not None:
-            add_arguments(command_parser)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    argv = sys.argv[1:] if argv is None else argv
-    # ire takes no option with a value, so argparse runs the subcommand
-    # that the first argument not starting with "-" names
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "keygen" and args.rbs_bits < keystream.RbsLoop.MIN_BITS:
         parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")
@@ -339,4 +322,4 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

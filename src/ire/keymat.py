@@ -26,6 +26,7 @@ flag's encoding.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 import struct
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ class WindowPermutation:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("window width must be positive")
-        object.__setattr__(self, "map", tuple(self.map))
+        # operator.index refuses floats and stores numpy integers as int
+        object.__setattr__(self, "map", tuple(map(operator.index, self.map)))
         if len(self.map) != self.width or sorted(self.map) != list(range(self.width)):
             raise ValueError(f"map must be a permutation of 0..{self.width - 1}")
 

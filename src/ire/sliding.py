@@ -65,7 +65,6 @@ __all__ = [
     "unpermute_in_place",
     "apply_forward",
     "apply_backward",
-    "global_index_map",
 ]
 
 WindowHook = Callable[[int, list], None]
@@ -267,12 +266,3 @@ def apply_backward(values: np.ndarray, plan: ShiftPlan) -> np.ndarray:
     buf = np.empty(values.size + plan.slack, dtype=values.dtype)
     buf[plan.slack:] = values
     return unpermute_in_place(buf, plan)
-
-
-def global_index_map(pmap: Sequence[int], n: int) -> np.ndarray:
-    """Final buffer index of every starting index after one forward pass.
-
-    An O(n) expansion of a plan built for the call, for inspection and
-    tests; the kernels never build it.
-    """
-    return apply_backward(np.arange(n), ShiftPlan(pmap))

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import sys
@@ -33,6 +34,15 @@ def test_app_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
         ire.cli.app()
     assert excinfo.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_console_script_entry_point_is_app():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"ire": "ire.cli:app"}
+    module, _, name = scripts["ire"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 # --- keygen -----------------------------------------------------------------
@@ -438,6 +448,17 @@ def test_rndtest_requires_exactly_one_source(tmp_path, capsys):
 
 # --- usage ------------------------------------------------------------------
 
+def test_option_values_that_name_subcommands_are_paths(tmp_path, key_file, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("bench").write_bytes(Path(key_file).read_bytes())
+    Path("keygen").write_bytes(b"a message")
+    code, _out, _err = run(capsys, "encrypt", "--key", "bench", "--in", "keygen", "--out", "o")
+    assert code == 0
+    code, _out, _err = run(capsys, "decrypt", "--key", "bench", "--in", "o", "--out", "selftest")
+    assert code == 0
+    assert Path("selftest").read_bytes() == b"a message"
+
+
 def test_an_option_before_the_subcommand_is_a_usage_error(tmp_path, key_file, capsys):
     plain = tmp_path / "p"
     plain.write_bytes(b"x")
@@ -465,9 +486,8 @@ _USAGE_CASES = list(_usage_cases())
 @pytest.mark.parametrize("argv, code, out, err", _USAGE_CASES,
                          ids=[" ".join(case[0]) or "no arguments" for case in _USAGE_CASES])
 def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, code, out, err):
-    # the subcommands' arguments are added only to the one that runs;
-    # ire --help, each ire <cmd> --help and the usage errors must read
-    # as they did when every subcommand was built up front
+    # ire --help, each ire <cmd> --help and the usage errors, pinned
+    # byte for byte
     monkeypatch.setenv("COLUMNS", "80")
     try:
         got = main(argv)

@@ -102,6 +102,14 @@ def test_window_permutation_validation():
         WindowPermutation(3, (0, 1, 1))  # repeated index
     with pytest.raises(ValueError):
         WindowPermutation(3, (0, 1, 3))  # out of range
+    with pytest.raises(TypeError):
+        WindowPermutation(10, tuple(float(i) for i in range(10)))
+    with pytest.raises(TypeError):
+        WindowPermutation(3, (0, 1.5, 2))
+    numpy_map = WindowPermutation(3, tuple(np.array([2, 0, 1], dtype=np.uint8)))
+    assert all(type(i) is int for i in numpy_map.map)
+    assert numpy_map == WindowPermutation(3, (2, 0, 1))
+    assert hash(numpy_map) == hash(WindowPermutation(3, (2, 0, 1)))
     for width in (0, -1):
         with pytest.raises(ValueError, match="window width must be positive"):
             generate_window_permutation(random.Random(0), width)

@@ -10,13 +10,17 @@ from ire.sliding import (
     ShiftPlan,
     apply_backward,
     apply_forward,
-    global_index_map,
     invert_map,
     naive_sliding_permute,
     naive_sliding_unpermute,
 )
 
 KNOWN_MAP = (7, 2, 6, 3, 0, 9, 1, 8, 5, 4)
+
+
+def global_index_map(pmap, n):
+    """Final buffer index of every starting index after one forward pass."""
+    return apply_backward(np.arange(n), ShiftPlan(pmap))
 
 
 def test_invert_map_known_vector():
