@@ -1,9 +1,11 @@
 """Randomness sources for key-material generation.
 
-Everything that draws randomness accepts any random.Random-compatible
-object. The default is the operating system's CSPRNG. The seeded
-variant exists so tests can be reproducible; it must never protect
-real traffic.
+Everything that draws randomness takes a random.Random, or an instance
+of a subclass of it: key generation calls its shuffle and getrandbits,
+and choose_offset its randrange, so an object that only mimics some of
+these will not do. The default is the operating system's CSPRNG. The
+seeded variant exists so tests can be reproducible; it must never
+protect real traffic.
 """
 
 import random
@@ -22,4 +24,4 @@ def insecure_seeded_rng(seed: int) -> random.Random:
 
 
 def resolve_rng(rng: random.Random | None) -> random.Random:
-    return rng if rng is not None else random.SystemRandom()
+    return rng if rng is not None else system_rng()

@@ -132,6 +132,7 @@ class KeySet:
 
     Both window permutations and the substitution table are fixed for
     the life of the keyset; only the start offset varies per message.
+    A part of the wrong type raises TypeError at construction.
     """
 
     sub: SubstitutionTable
@@ -141,6 +142,11 @@ class KeySet:
     rule: str
 
     def __post_init__(self):
+        for name, kind in (("sub", SubstitutionTable), ("byte_perm", WindowPermutation),
+                           ("bit_perm", WindowPermutation), ("rbs", RbsLoop)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
         if self.byte_perm.width != BYTE_WINDOW:
             raise ValueError(f"byte-window permutation must have width {BYTE_WINDOW}")
         if self.bit_perm.width != BIT_WINDOW:
@@ -149,24 +155,19 @@ class KeySet:
             raise ValueError(f"rule must be one of {RULES}")
 
 
-def _fisher_yates(count: int, rng: random.Random) -> list[int]:
-    # Swap-based shuffle with uniform index draws; randrange is
-    # rejection-sampled, so every ordering is equally likely.
-    order = list(range(count))
-    for i in range(count - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def generate_substitution_table(rng: random.Random | None = None) -> SubstitutionTable:
-    """Draw a uniformly random byte bijection."""
-    return SubstitutionTable(bytes(_fisher_yates(256, resolve_rng(rng))))
+    """Draw a uniformly random byte bijection with Random.shuffle."""
+    forward = list(range(256))
+    resolve_rng(rng).shuffle(forward)
+    return SubstitutionTable(bytes(forward))
 
 
 def generate_window_permutation(rng: random.Random | None, width: int) -> WindowPermutation:
-    """Draw a uniformly random window permutation of the given width."""
-    return WindowPermutation(width, tuple(_fisher_yates(width, resolve_rng(rng))))
+    """Draw a uniformly random window permutation of the given width
+    with Random.shuffle."""
+    order = list(range(width))
+    resolve_rng(rng).shuffle(order)
+    return WindowPermutation(width, tuple(order))
 
 
 def invert_window_permutation(perm: WindowPermutation) -> WindowPermutation:

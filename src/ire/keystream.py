@@ -24,8 +24,9 @@ class RbsLoop:
     can be drawn starting from any bit. The loop is stored only as
     MSB-first packed bytes, eight bits to a byte, with the pad bits of
     the last byte zero. packed is that array, and from_packed builds a
-    loop from such bytes; read draws packed keystream from it, and bits
-    and fragment unpack on demand. Instances are immutable.
+    loop from such bytes. Its readers are read, which draws packed
+    keystream, and bits and fragment, which unpack on demand. Instances
+    are immutable.
     """
 
     MIN_BITS = 80
@@ -64,13 +65,6 @@ class RbsLoop:
         bits = np.unpackbits(self._packed, count=self._length)
         bits.setflags(write=False)
         return bits
-
-    def bit_at(self, index: int) -> int:
-        """Bit at any non-negative index, wrapping past the end."""
-        if index < 0:
-            raise ValueError("bit index must be non-negative")
-        index %= self._length
-        return int(self._packed[index >> 3]) >> (7 - (index & 7)) & 1
 
     def read(self, start: int, out: np.ndarray) -> None:
         """Fill out with the loop's bits from start on, packed MSB-first.
@@ -182,9 +176,10 @@ def _xor_bits(src: np.ndarray, bit: int, out: np.ndarray) -> None:
 
 
 def choose_offset(rng: random.Random | None, bit_length: int) -> int:
-    """Uniform start offset in [0, bit_length), free of modulo bias."""
-    if bit_length < 1:
-        raise ValueError("bit length must be positive")
+    """Uniform start offset in [0, bit_length), free of modulo bias.
+
+    An empty range raises ValueError, from randrange.
+    """
     return resolve_rng(rng).randrange(bit_length)
 
 
@@ -207,10 +202,9 @@ def generate_rbs(rng: random.Random | None = None, bit_length: int = DEFAULT_RBS
     A candidate failing the gate is discarded and redrawn; repeated
     failure means the entropy source is broken and raises
     GenerationError. Loops shorter than the monobit minimum of
-    100 bits are accepted ungated.
+    100 bits are accepted ungated. A bit_length under RbsLoop.MIN_BITS
+    raises ValueError, as RbsLoop does.
     """
-    if bit_length < RbsLoop.MIN_BITS:
-        raise ValueError(f"an RBS holds at least {RbsLoop.MIN_BITS} bits, got {bit_length}")
     rng = resolve_rng(rng)
     for _ in range(_MONOBIT_ATTEMPTS):
         loop = RbsLoop.from_packed(_random_bits(rng, bit_length), bit_length)

@@ -27,6 +27,7 @@ the plans the key's window permutations keep.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -68,13 +69,16 @@ class PaddedMessage:
 
     The pad count travels alongside the bytes (and later in the
     envelope header) so that removal is exact even for short messages
-    that genuinely end in whitespace.
+    that genuinely end in whitespace. data is held as bytes, so
+    changing the source later never changes the message.
     """
 
     data: bytes
     pad_count: int
 
     def __post_init__(self):
+        if type(self.data) is not bytes:  # a bytes argument is kept, not copied
+            object.__setattr__(self, "data", bytes(memoryview(self.data)))
         if not 0 <= self.pad_count <= PAD_WIDTH:
             raise CorruptionError(f"pad count {self.pad_count} outside 0..{PAD_WIDTH}")
         if len(self.data) < PAD_WIDTH:
@@ -288,9 +292,12 @@ def packed_unwindows(work: np.ndarray, ciphertext: bytes | memoryview, byte_perm
     return sliding.unpermute_in_place(work[:n + lead], byte_perm.plan)
 
 
-def _check_offset(offset: int, rbs: RbsLoop) -> None:
+def _check_offset(offset: int, rbs: RbsLoop) -> int:
+    """offset as an int, if it lies inside the loop; a float raises TypeError."""
+    offset = operator.index(offset)
     if not 0 <= offset < rbs.length:
         raise OffsetError(f"start offset {offset} outside the RBS loop of {rbs.length} bits")
+    return offset
 
 
 def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
@@ -298,10 +305,11 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
 
     Deterministic for a fixed (message, keyset, offset). Callers wanting
     distinct ciphertexts per send must draw a fresh offset each time. An
-    offset outside the loop raises OffsetError. The payload is the
-    pipeline's own working array, as a read-only memoryview.
+    offset outside the loop raises OffsetError, and one that is not an
+    integer TypeError. The payload is the pipeline's own working array,
+    as a read-only memoryview.
     """
-    _check_offset(offset, keyset.rbs)
+    offset = _check_offset(offset, keyset.rbs)
     padded = pad(message)
     substituted = substitute(padded.data, keyset.sub)
     payload = np.empty(len(substituted), dtype=np.uint8)

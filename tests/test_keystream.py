@@ -33,8 +33,6 @@ def test_loop_validation():
         with pytest.raises(ValueError, match="bits must be 0 or 1"):  # checked before any cast
             RbsLoop(bits)
     assert RbsLoop(np.ones(80, dtype=bool)) == RbsLoop(np.ones(80, dtype=np.uint8))
-    with pytest.raises(ValueError, match="bit index must be non-negative"):
-        RbsLoop(np.zeros(80, dtype=np.uint8)).bit_at(-1)
 
 
 def test_loop_compares_only_with_loops_and_shows_its_length():
@@ -50,14 +48,6 @@ def test_loop_is_immutable():
     loop = RbsLoop(arr)
     with pytest.raises(ValueError):
         loop.bits[0] = 1
-
-
-def test_bit_at_wraps():
-    loop = make_loop("10", 80)
-    assert loop.bit_at(0) == 1
-    assert loop.bit_at(1) == 0
-    assert loop.bit_at(80) == 1  # one full revolution
-    assert loop.bit_at(163) == loop.bit_at(3)
 
 
 def test_fragment_without_wrap():
@@ -78,7 +68,7 @@ def test_fragment_wraps_at_boundary():
 def test_fragment_longer_than_loop_repeats():
     loop = make_loop("10110", 80)
     frag = loop.fragment(0, 200)
-    expected = np.array([loop.bit_at(i) for i in range(200)], dtype=np.uint8)
+    expected = loop.bits[np.arange(200) % loop.length]
     assert np.array_equal(frag, expected)
 
 
@@ -127,7 +117,7 @@ def test_from_packed_zeroes_pad_bits_and_copies():
     source = bytearray(b"\x0f" * 10)
     loop = RbsLoop.from_packed(source, 80)
     source[0] = 0xFF
-    assert loop.bit_at(0) == 0
+    assert loop.bits[0] == 0
 
 
 def test_from_packed_views_bytes_and_copies_other_buffers():
@@ -161,15 +151,15 @@ def test_fragment_matches_unpacked_definition_at_seams(length):
 
 def test_packed_read_matches_unpacked_definition():
     # starts within 8 bits of either end, and where a read ends one bit
-    # short of the seam; reads of one byte up to past two periods of
-    # length / gcd(length, 8) bytes, so the doubling fill runs
+    # short of the seam or exactly at it; reads of one byte up to past
+    # two periods of length / gcd(length, 8) bytes, so the doubling fill runs
     rng = random.Random(61)
     for length in (80, 81, 97, 1000, 4099):
         bits = np.array([rng.randrange(2) for _ in range(length)], dtype=np.uint8)
         loop = RbsLoop(bits)
         period = length // math.gcd(length, 8)
         for nbytes in {1, 2, 13, 124, 600, period - 1, period, period + 1, 2 * period + 3}:
-            for start in {*range(9), *range(length - 9, length), length - 8 * nbytes - 1}:
+            for start in {*range(9), *range(length - 9, length), length - 8 * nbytes - 1, length - 8 * nbytes}:
                 if not 0 <= start < length:
                     continue
                 out = np.empty(nbytes, dtype=np.uint8)

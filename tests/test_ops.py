@@ -67,6 +67,14 @@ def test_padded_message_invariants():
     with pytest.raises(CorruptionError, match="trailing bytes"):
         PaddedMessage(b"abcdefghij", 2)  # pad positions not 0x20
     PaddedMessage(b"abcdefgh  ", 2)  # consistent, accepted
+    source = bytearray(b"0123456789")
+    padded = PaddedMessage(source, 0)  # held as bytes: no alias of the caller's buffer
+    source[0] = ord("x")
+    assert type(padded.data) is bytes and padded.data == b"0123456789"
+    assert unpad(padded) == b"0123456789" and unpad(padded) is not source
+    assert hash(padded) == hash(PaddedMessage(b"0123456789", 0))
+    message = b"a message of bytes"
+    assert PaddedMessage(message, 0).data is message  # a bytes argument is not copied
 
 
 def test_unpad_keeps_plain_spaces():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -412,6 +413,42 @@ def test_offset_beyond_loop_is_refused(small_keyset):
         decrypt(bad, small_keyset)
     with pytest.raises(OffsetError, match="offset"):
         encrypt(b"message in range", small_keyset, small_keyset.rbs.length)
+
+
+NOT_AN_INT = "cannot be interpreted as an integer"  # operator.index's message
+
+WRONG_TYPES = [  # (case, build under a good keyset, what the TypeError says)
+    ("envelope start_offset 1.5", lambda ks: CipherEnvelope(RULE_B, 0, 1.5, b"0123456789"), NOT_AN_INT),
+    ("envelope pad_count 1.0", lambda ks: CipherEnvelope(RULE_B, 1.0, 0, b"012345678 "), NOT_AN_INT),
+    ("envelope start_offset '7'", lambda ks: CipherEnvelope(RULE_B, 0, "7", b"0123456789"), NOT_AN_INT),
+    ("encrypt offset 1.5", lambda ks: encrypt(b"message in range", ks, 1.5), NOT_AN_INT),
+    ("encrypt offset 2.0", lambda ks: encrypt(b"message in range", ks, 2.0), NOT_AN_INT),
+    ("keyset rbs None", lambda ks: dataclasses.replace(ks, rbs=None), "rbs must be a RbsLoop"),
+    ("keyset rbs bits", lambda ks: dataclasses.replace(ks, rbs=ks.rbs.bits), "rbs must be a RbsLoop"),
+    ("keyset sub bytes", lambda ks: dataclasses.replace(ks, sub=bytes(range(256))), "sub must be a SubstitutionTable"),
+    ("keyset byte_perm tuple", lambda ks: dataclasses.replace(ks, byte_perm=ks.byte_perm.map), "byte_perm must be a"),
+    ("keyset bit_perm None", lambda ks: dataclasses.replace(ks, bit_perm=None), "bit_perm must be a"),
+    ("padded message int", lambda ks: ops.PaddedMessage(10, 0), "bytes-like object"),
+    ("padded message str", lambda ks: ops.PaddedMessage("0123456789", 0), "bytes-like object"),
+]
+
+
+@pytest.mark.parametrize("build, says", [case[1:] for case in WRONG_TYPES], ids=[case[0] for case in WRONG_TYPES])
+def test_wrong_types_are_refused_at_construction(build, says, small_keyset):
+    # the constructor's or encrypt's own TypeError, not one raised later
+    # in encode_envelope, a pipeline stage or decrypt
+    with pytest.raises(TypeError, match=says):
+        build(small_keyset)
+
+
+def test_numpy_integers_are_stored_as_int(small_keyset):
+    env = CipherEnvelope(RULE_B, np.uint8(2), np.uint64(6722), b"01234567  ")
+    assert type(env.pad_count) is int and type(env.start_offset) is int
+    assert env == CipherEnvelope(RULE_B, 2, 6722, b"01234567  ")
+    assert hash(env) == hash(CipherEnvelope(RULE_B, 2, 6722, b"01234567  "))
+    assert encrypt(b"message in range", small_keyset, np.int64(5)) == encrypt(b"message in range", small_keyset, 5)
+    with pytest.raises(OffsetError, match="offset"):  # out of range keeps its error
+        encrypt(b"message in range", small_keyset, np.int64(-1))
 
 
 def test_bit_flip_changes_plaintext_silently(small_keyset):
