@@ -165,14 +165,15 @@ def _bench_plan_error(sizes: Sequence[int], repetitions: int, sizes_name: str, r
     return ""
 
 
-def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -> BenchReport:
+def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5) -> BenchReport:
     """Median in-memory encrypt/decrypt time per payload size, with a
     least-squares line fit per direction.
 
     Key generation and file I/O stay outside the timed region, and one
     warm-up round per size keeps one-off work (the keyset's window shift
     plans, first page faults on fresh buffers) out of the medians. Runs
-    single-threaded.
+    single-threaded. Payloads and start offsets come from the system's
+    entropy source.
     """
     from .keystream import choose_offset
     from .ops import decrypt, encrypt  # imported here: ops -> keymat -> keystream -> this module
@@ -187,7 +188,7 @@ def bench_linear(keyset, sizes: Iterable[int], repetitions: int = 5, rng=None) -
     for size in size_list:
         try:
             payload = os.urandom(size)
-            offset = choose_offset(rng, keyset.rbs.length)
+            offset = choose_offset(None, keyset.rbs.length)
             envelope = encrypt(payload, keyset, offset)  # warm-up
             if decrypt(envelope, keyset) != payload:
                 raise RuntimeError("warm-up round trip failed, refusing to time a broken pipeline")

@@ -207,7 +207,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(("window contents after first shift", snapshots[0] == _KNOWN_SHIFTED_WINDOW))
 
     checks.append(("window map inversion",
-                   keymat.invert_window_permutation(perm).map == _KNOWN_MAP_INVERSE))
+                   sliding.invert_map(_KNOWN_MAP) == _KNOWN_MAP_INVERSE))
 
     loop = keystream.RbsLoop(np.concatenate([
         bits_from_string(_KNOWN_KEY_BITS), np.zeros(70, dtype=np.uint8)]))

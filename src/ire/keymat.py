@@ -35,7 +35,7 @@ from functools import cached_property
 from .entropy import resolve_rng
 from .errors import KeyFormatError
 from .keystream import DEFAULT_RBS_BITS, RbsLoop, generate_rbs
-from .sliding import ShiftPlan, invert_map
+from .sliding import ShiftPlan
 
 __all__ = [
     "RULE_A",
@@ -50,7 +50,6 @@ __all__ = [
     "KeySet",
     "generate_substitution_table",
     "generate_window_permutation",
-    "invert_window_permutation",
     "generate_keyset",
     "serialize_keyset",
     "parse_keyset",
@@ -168,11 +167,6 @@ def generate_window_permutation(rng: random.Random | None, width: int) -> Window
     order = list(range(width))
     resolve_rng(rng).shuffle(order)
     return WindowPermutation(width, tuple(order))
-
-
-def invert_window_permutation(perm: WindowPermutation) -> WindowPermutation:
-    """The permutation that undoes perm: inverse.map[perm.map[i]] == i."""
-    return WindowPermutation(perm.width, invert_map(perm.map))
 
 
 def generate_keyset(

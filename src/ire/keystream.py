@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -124,8 +125,10 @@ class RbsLoop:
         alive. Anything else (a bytearray, a view of one, an mmap, or
         nonzero pad bits) is copied once and its pad bits zeroed, so
         changing the source later never changes the loop. Accepts raw
-        bit files too: pass bit_length = 8 * len(data).
+        bit files too: pass bit_length = 8 * len(data). A bit_length that
+        is not an integer raises TypeError.
         """
+        bit_length = operator.index(bit_length)  # refuses floats, stores numpy integers as int
         view = memoryview(data)
         if (bit_length + 7) // 8 != len(view):
             raise ValueError(f"{len(view)} packed bytes cannot hold exactly {bit_length} bits")

@@ -79,6 +79,8 @@ class PaddedMessage:
     def __post_init__(self):
         if type(self.data) is not bytes:  # a bytes argument is kept, not copied
             object.__setattr__(self, "data", bytes(memoryview(self.data)))
+        # operator.index refuses floats and stores numpy integers as int
+        object.__setattr__(self, "pad_count", operator.index(self.pad_count))
         if not 0 <= self.pad_count <= PAD_WIDTH:
             raise CorruptionError(f"pad count {self.pad_count} outside 0..{PAD_WIDTH}")
         if len(self.data) < PAD_WIDTH:
@@ -289,7 +291,7 @@ def packed_unwindows(work: np.ndarray, ciphertext: bytes | memoryview, byte_perm
     edges = np.packbits(edges)
     buf[:head] = edges[:head]
     buf[buf.size - tail:] = edges[head:]
-    return sliding.unpermute_in_place(work[:n + lead], byte_perm.plan)
+    return sliding.unpermute_in_place(work[:n + lead], byte_perm.plan, n)
 
 
 def _check_offset(offset: int, rbs: RbsLoop) -> int:

@@ -6,10 +6,12 @@ position between applications: a buffer of N values sees N-W+1 window
 applications and N-W one-position shifts. Each application rewrites the
 current window in place as window[i] <- window[map[i]].
 
-naive_sliding_permute and naive_sliding_unpermute implement that
-description literally, one window at a time. They are the reference
-for everything else and the only code here that needs to be read to
-know what the operation means.
+naive_sliding_permute implements that description literally, one
+window at a time: it is the reference for the forward pass and the only
+code here that needs to be read to know what the operation means. The
+inverse pass applies the inverted map at every window position, right
+to left. The kernels below run it, and tests/oracles.py states it
+literally for them to be checked against.
 
 The fast kernels produce identical results in O(N) and never build an
 N-sized index map. Track a single value through the pass: just before
@@ -47,7 +49,8 @@ W and the last W cells, the kernels also run on a short buffer that
 holds just those ends of a long one, side by side, given the long
 buffer's length: fixups(n) counts the tail from the end, so it lands in
 the right cells as long as the two ends do not overlap. That is how
-encrypt and decrypt patch the edges of a message without a full copy.
+encrypt and decrypt patch the edges of a message without a full copy,
+and why the kernels always take the pass length n.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ import numpy as np
 __all__ = [
     "invert_map",
     "naive_sliding_permute",
-    "naive_sliding_unpermute",
     "ShiftPlan",
     "permute_in_place",
     "unpermute_in_place",
@@ -96,26 +98,6 @@ def naive_sliding_permute(
     for k in range(len(buf) - width + 1):
         window = buf[k:k + width]
         for i, j in enumerate(pmap):
-            buf[k + i] = window[j]
-        if on_window is not None:
-            on_window(k, buf)
-    return buf
-
-
-def naive_sliding_unpermute(
-    values: Iterable[int],
-    pmap: Sequence[int],
-    on_window: WindowHook | None = None,
-) -> list:
-    """Reference inverse: the inverted map over windows in reverse order."""
-    width = len(pmap)
-    inv = invert_map(pmap)
-    buf = list(values)
-    if len(buf) < width:
-        raise ValueError(f"buffer holds {len(buf)} values, need at least {width}")
-    for k in range(len(buf) - width, -1, -1):
-        window = buf[k:k + width]
-        for i, j in enumerate(inv):
             buf[k + i] = window[j]
         if on_window is not None:
             on_window(k, buf)
@@ -214,32 +196,35 @@ class ShiftPlan:
         return self._src[:width + budget], dst
 
 
-def permute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> np.ndarray:
-    """Forward pass over the first cells = buf.size - plan.slack cells of buf.
+def permute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int) -> np.ndarray:
+    """Forward pass over n values, held in the first
+    cells = buf.size - plan.slack cells of buf.
 
     The slack cells after the input are scratch. Returns the output as
-    the view buf[plan.slack:]; buf no longer holds the input. With n
-    given, the cells stand for a pass over n values of which they hold
-    only the first and the last, side by side, enough of each end to
-    hold every fixup (see the module notes).
+    the view buf[plan.slack:]; buf no longer holds the input. With
+    cells == n the cells hold every value; with fewer, they hold only
+    the first and the last, side by side, enough of each end to hold
+    every fixup (see the module notes).
     """
     cells = buf.size - plan.slack
-    src, dst = plan.fixups(cells if n is None else n)
+    src, dst = plan.fixups(n)
     moved = buf[:cells][src]
     out = buf[plan.slack:]
     out[dst] = moved
     return out
 
 
-def unpermute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int | None = None) -> np.ndarray:
-    """Backward pass over the last cells = buf.size - plan.slack cells of buf.
+def unpermute_in_place(buf: np.ndarray, plan: ShiftPlan, n: int) -> np.ndarray:
+    """Backward pass over n values, held in the last
+    cells = buf.size - plan.slack cells of buf: the inverted map at
+    every window position, right to left.
 
     The slack cells before the input are scratch. Returns the output as
-    the view buf[:cells]; buf no longer holds the input. n is as for
-    permute_in_place.
+    the view buf[:cells]; buf no longer holds the input. The cells
+    stand for the n values as for permute_in_place.
     """
     cells = buf.size - plan.slack
-    src, dst = plan.fixups(cells if n is None else n)
+    src, dst = plan.fixups(n)
     moved = buf[plan.slack:][dst]
     out = buf[:cells]
     out[src] = moved
@@ -254,15 +239,15 @@ def apply_forward(values: np.ndarray, plan: ShiftPlan) -> np.ndarray:
     """
     buf = np.empty(values.size + plan.slack, dtype=values.dtype)
     buf[:values.size] = values
-    return permute_in_place(buf, plan)
+    return permute_in_place(buf, plan, values.size)
 
 
 def apply_backward(values: np.ndarray, plan: ShiftPlan) -> np.ndarray:
-    """Same result as naive_sliding_unpermute with the plan's map: the
-    exact inverse pass.
+    """The exact inverse of apply_forward: the inverted map at every
+    window position, right to left, in O(len(values)).
 
     values is left untouched.
     """
     buf = np.empty(values.size + plan.slack, dtype=values.dtype)
     buf[plan.slack:] = values
-    return unpermute_in_place(buf, plan)
+    return unpermute_in_place(buf, plan, values.size)

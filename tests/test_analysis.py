@@ -131,8 +131,7 @@ def test_generated_loops_usually_pass_runs():
 # --- benchmark harness --------------------------------------------------------
 
 def test_bench_smoke(small_keyset):
-    report = bench_linear(small_keyset, [16, 64, 256], repetitions=3,
-                          rng=random.Random(0))
+    report = bench_linear(small_keyset, [16, 64, 256], repetitions=3)
     assert len(report.points) == 3
     assert [p.size for p in report.points] == [16, 64, 256]
     assert all(p.encrypt_seconds > 0 and p.decrypt_seconds > 0 for p in report.points)
@@ -141,7 +140,7 @@ def test_bench_smoke(small_keyset):
 
 
 def test_bench_single_size_is_degenerate(small_keyset):
-    report = bench_linear(small_keyset, [64], repetitions=3, rng=random.Random(0))
+    report = bench_linear(small_keyset, [64], repetitions=3)
     assert report.degenerate
     assert report.encrypt_fit.r_squared == 1.0
     assert "degenerate" in report.note
@@ -150,7 +149,7 @@ def test_bench_single_size_is_degenerate(small_keyset):
 def test_bench_refuses_a_pipeline_whose_round_trip_fails(small_keyset, monkeypatch):
     monkeypatch.setattr(ire.ops, "decrypt", lambda envelope, keyset: b"not the payload")
     with pytest.raises(RuntimeError, match="warm-up round trip failed"):
-        bench_linear(small_keyset, [16, 64], repetitions=3, rng=random.Random(0))
+        bench_linear(small_keyset, [16, 64], repetitions=3)
 
 
 def _encrypt_out_of_memory_from(size, monkeypatch):
@@ -166,7 +165,7 @@ def _encrypt_out_of_memory_from(size, monkeypatch):
 
 def test_bench_stops_at_the_size_that_runs_out_of_memory(small_keyset, monkeypatch):
     _encrypt_out_of_memory_from(64, monkeypatch)
-    report = bench_linear(small_keyset, [16, 64, 256], repetitions=3, rng=random.Random(0))
+    report = bench_linear(small_keyset, [16, 64, 256], repetitions=3)
     assert [p.size for p in report.points] == [16]
     assert report.degenerate
     assert report.note == "stopped before size 64: out of memory"
@@ -175,7 +174,7 @@ def test_bench_stops_at_the_size_that_runs_out_of_memory(small_keyset, monkeypat
 def test_bench_out_of_memory_at_the_first_size_measures_nothing(small_keyset, monkeypatch):
     _encrypt_out_of_memory_from(16, monkeypatch)
     with pytest.raises(ValueError, match="no size could be measured .stopped before size 16: out of memory."):
-        bench_linear(small_keyset, [16, 64], repetitions=3, rng=random.Random(0))
+        bench_linear(small_keyset, [16, 64], repetitions=3)
 
 
 def test_bench_validation(small_keyset):

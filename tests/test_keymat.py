@@ -26,7 +26,6 @@ from ire.keymat import (
     generate_keyset,
     generate_substitution_table,
     generate_window_permutation,
-    invert_window_permutation,
     keyset_fingerprint,
     parse_keyset,
     serialize_keyset,
@@ -114,20 +113,6 @@ def test_window_permutation_validation():
     for width in (0, -1):
         with pytest.raises(ValueError, match="window width must be positive"):
             generate_window_permutation(random.Random(0), width)
-
-
-def test_invert_window_permutation_known_vector():
-    perm = WindowPermutation(10, (7, 2, 6, 3, 0, 9, 1, 8, 5, 4))
-    inverse = invert_window_permutation(perm)
-    assert inverse.map == (4, 6, 1, 3, 9, 8, 2, 0, 7, 5)
-    assert invert_window_permutation(inverse) == perm
-
-
-@given(perm=st.permutations(list(range(10))))
-def test_invert_window_permutation_property(perm):
-    p = WindowPermutation(10, tuple(perm))
-    q = invert_window_permutation(p)
-    assert all(q.map[p.map[i]] == i for i in range(10))
 
 
 def test_generation_uniformity_width_three():

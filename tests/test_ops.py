@@ -35,9 +35,13 @@ def test_pad_short_messages():
 
 def test_pad_long_messages_untouched():
     for n in range(PAD_WIDTH, 13):
-        padded = pad(b"y" * n)
-        assert padded.data == b"y" * n
+        message = b"y" * n
+        padded = pad(message)
+        assert padded.data == message
         assert padded.pad_count == 0
+        # neither copies: an n-sized copy here would cost a full message per call
+        assert padded.data is message
+        assert unpad(padded) is message
 
 
 def test_pad_unpad_exhaustive_with_trailing_spaces():

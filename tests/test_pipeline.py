@@ -430,6 +430,9 @@ WRONG_TYPES = [  # (case, build under a good keyset, what the TypeError says)
     ("keyset bit_perm None", lambda ks: dataclasses.replace(ks, bit_perm=None), "bit_perm must be a"),
     ("padded message int", lambda ks: ops.PaddedMessage(10, 0), "bytes-like object"),
     ("padded message str", lambda ks: ops.PaddedMessage("0123456789", 0), "bytes-like object"),
+    ("padded message pad_count 0.0", lambda ks: ops.PaddedMessage(b"0123456789", 0.0), NOT_AN_INT),
+    ("padded message pad_count 2.0", lambda ks: ops.PaddedMessage(b"01234567  ", 2.0), NOT_AN_INT),
+    ("loop from_packed bit_length 80.0", lambda ks: RbsLoop.from_packed(bytes(10), 80.0), NOT_AN_INT),
 ]
 
 
@@ -449,6 +452,15 @@ def test_numpy_integers_are_stored_as_int(small_keyset):
     assert encrypt(b"message in range", small_keyset, np.int64(5)) == encrypt(b"message in range", small_keyset, 5)
     with pytest.raises(OffsetError, match="offset"):  # out of range keeps its error
         encrypt(b"message in range", small_keyset, np.int64(-1))
+    padded = ops.PaddedMessage(b"01234567  ", np.uint8(2))
+    assert type(padded.pad_count) is int and padded == ops.PaddedMessage(b"01234567  ", 2)
+    assert ops.unpad(padded) == b"01234567"
+    with pytest.raises(CorruptionError, match="pad count"):  # out of range keeps its error
+        ops.PaddedMessage(b"01234567  ", np.int64(11))
+    loop = RbsLoop.from_packed(bytes(10), np.int64(80))
+    assert type(loop.length) is int and loop == RbsLoop.from_packed(bytes(10), 80)
+    with pytest.raises(ValueError, match="cannot hold exactly"):
+        RbsLoop.from_packed(bytes(10), np.int64(88))
 
 
 def test_bit_flip_changes_plaintext_silently(small_keyset):

