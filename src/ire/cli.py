@@ -8,13 +8,15 @@ success, so a failing run never leaves a partial file behind.
 
 parse_args builds the whole parser (build_parser), lets argparse read
 the arguments and makes the checks that argparse cannot state; a usage
-error exits before any file is read.
+error exits before any file is read. Such an error is reported by the
+subcommand's parser, under its usage line, as argparse's own errors are.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import tempfile
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import analysis, envelope as envelope_mod, keymat, keystream, ops, sliding
 from .bits import bits_from_string
-from .entropy import insecure_seeded_rng, system_rng
+from .entropy import system_rng
 from .errors import IreError, SampleSizeError
 
 DEFAULT_BENCH_SIZES = (65536, 131072, 262144, 524288, 1048576)
@@ -38,7 +40,8 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ire parser: each subcommand with its arguments and the
-    function that runs it (args.run)."""
+    function that runs it (args.run). A subcommand that parse_args
+    checks further also records its own parser (args.parser)."""
     parser = argparse.ArgumentParser(
         prog="ire",
         description="Iterated random encryption: keyed byte/bit scrambling over a looped random bit sequence.",
@@ -46,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     keygen = sub.add_parser("keygen", help="generate a keyset file")
-    keygen.set_defaults(run=run_keygen)
+    keygen.set_defaults(run=run_keygen, parser=keygen)
     keygen.add_argument("--out", required=True, metavar="PATH", help="where to write the key file")
     keygen.add_argument("--rbs-bits", type=int, default=keystream.DEFAULT_RBS_BITS, metavar="N",
                         help="random bit sequence length in bits (default %(default)s)")
@@ -56,14 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic generation for tests; NOT secure")
 
     encrypt = sub.add_parser("encrypt", help="encrypt a file")
-    encrypt.set_defaults(run=run_encrypt)
+    encrypt.set_defaults(run=run_encrypt, parser=encrypt)
     encrypt.add_argument("--key", required=True, metavar="PATH")
     encrypt.add_argument("--in", dest="input", required=True, metavar="PATH")
     encrypt.add_argument("--out", required=True, metavar="PATH")
     encrypt.add_argument("--offset", type=int, default=None, metavar="N",
                          help="explicit keystream start offset (default: drawn at random)")
-    encrypt.add_argument("--seed", type=int, default=None, metavar="N",
-                         help="deterministic offset draw for tests; NOT secure")
     encrypt.add_argument("-v", "--verbose", action="store_true",
                          help="print the chosen start offset to stderr")
 
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("selftest", help="run the built-in known-answer checks").set_defaults(run=run_selftest)
 
     bench = sub.add_parser("bench", help="measure encrypt/decrypt scaling")
-    bench.set_defaults(run=run_bench)
+    bench.set_defaults(run=run_bench, parser=bench)
     bench.add_argument("--key", default=None, metavar="PATH",
                        help="keyset to bench with (default: ephemeral keyset)")
     bench.add_argument("--sizes", type=_sizes_arg, default=DEFAULT_BENCH_SIZES, metavar="N,N,...",
@@ -87,36 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     rndtest = sub.add_parser("rndtest", help="run randomness checks over keystream bits")
     rndtest.set_defaults(run=run_rndtest)
-    rndtest.add_argument("--key", default=None, metavar="PATH",
-                         help="check the RBS inside a keyset file")
-    rndtest.add_argument("--in", dest="input", default=None, metavar="PATH",
-                         help="check a raw bit file (MSB-first packed bytes)")
+    source = rndtest.add_mutually_exclusive_group(required=True)
+    source.add_argument("--key", metavar="PATH", help="check the RBS inside a keyset file")
+    source.add_argument("--in", dest="input", metavar="PATH",
+                        help="check a raw bit file (MSB-first packed bytes)")
     rndtest.add_argument("--csv", action="store_true", help="machine-readable output")
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.subcommand == "keygen" and args.rbs_bits < keystream.RbsLoop.MIN_BITS:
-        parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")
+        args.parser.error(f"--rbs-bits must be at least {keystream.RbsLoop.MIN_BITS}")
     elif args.subcommand == "encrypt" and args.offset is not None and args.offset < 0:
-        parser.error("--offset must be non-negative")
+        args.parser.error("--offset must be non-negative")
     elif args.subcommand == "bench":
         error = analysis._bench_plan_error(args.sizes, args.reps, "--sizes", "--reps")
         if error:
-            parser.error(error)
-    elif args.subcommand == "rndtest" and (args.key is None) == (args.input is None):
-        parser.error("give exactly one of --key or --in")
+            args.parser.error(error)
     return args
-
-
-def _select_rng(args: argparse.Namespace):
-    if args.seed is not None:
-        print("WARNING: --seed makes the output deterministic; test use only, NOT secure",
-              file=sys.stderr)
-        return insecure_seeded_rng(args.seed)
-    return system_rng()
 
 
 def _read(path: str) -> bytes:
@@ -140,7 +130,11 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def run_keygen(args: argparse.Namespace) -> int:
-    rng = _select_rng(args)
+    rng = None
+    if args.seed is not None:
+        print("WARNING: --seed makes the output deterministic; test use only, NOT secure",
+              file=sys.stderr)
+        rng = random.Random(args.seed)
     ks = keymat.generate_keyset(rng, rbs_bits=args.rbs_bits, rule=args.rule)
     blob = keymat.serialize_keyset(ks)
     _write_atomic(args.out, blob)
@@ -154,7 +148,7 @@ def run_encrypt(args: argparse.Namespace) -> int:
     message = _read(args.input)
     offset = args.offset
     if offset is None:
-        offset = keystream.choose_offset(_select_rng(args), ks.rbs.length)
+        offset = keystream.choose_offset(None, ks.rbs.length)
     envelope = ops.encrypt(message, ks, offset)
     bits = 8 * len(envelope.payload)
     if bits > ks.rbs.length:
@@ -261,7 +255,7 @@ def run_bench(args: argparse.Namespace) -> int:
         ks = keymat.parse_keyset(_read(args.key))
     else:
         print("no key given, benching with an ephemeral keyset", file=sys.stderr)
-        ks = keymat.generate_keyset(system_rng(), rbs_bits=1 << 20)
+        ks = keymat.generate_keyset()
     report = analysis.bench_linear(ks, args.sizes, repetitions=args.reps)
     if args.csv:
         print("size_bytes,encrypt_seconds,decrypt_seconds")
@@ -323,3 +317,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -1,16 +1,19 @@
 import importlib
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ire.analysis
 import ire.cli
 import ire.ops
 from ire.cli import main
 from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
 from ire.keymat import parse_keyset
+from ire.keystream import DEFAULT_RBS_BITS
 
 
 def run(capsys, *argv):
@@ -34,6 +37,16 @@ def test_app_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
         ire.cli.app()
     assert excinfo.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_m_ire_cli_runs_the_command():
+    # a subprocess, not runpy: ire.cli is already imported here, and
+    # runpy warns when it runs a module that is
+    env = dict(os.environ, PYTHONPATH=str(Path(ire.cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "ire.cli", "selftest"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
 def test_console_script_entry_point_is_app():
@@ -150,6 +163,12 @@ def test_verbose_prints_offset(tmp_path, key_file, capsys):
                        "--out", str(tmp_path / "c"), "--offset", "5", "-v")
     assert code == 0
     assert "start offset: 5" in err
+    # a drawn offset is printed as the envelope records it
+    code, _, err = run(capsys, "encrypt", "--key", key_file, "--in", str(plain),
+                       "--out", str(tmp_path / "d"), "-v")
+    assert code == 0
+    start_offset = decode_envelope((tmp_path / "d").read_bytes()).start_offset
+    assert f"start offset: {start_offset}\n" in err
 
 
 def test_encrypt_offset_out_of_range(tmp_path, key_file, capsys):
@@ -365,11 +384,21 @@ def test_bench_rejects_a_size_that_is_not_an_integer(capsys):
     assert "not a comma-separated list of integers: '1,x'" in capsys.readouterr().err
 
 
-def test_bench_without_a_key_uses_an_ephemeral_keyset(capsys):
+def test_bench_without_a_key_uses_an_ephemeral_keyset(capsys, monkeypatch):
+    benched = []
+    bench_linear = ire.analysis.bench_linear
+
+    def spy(ks, *args, **kwargs):
+        benched.append(ks)
+        return bench_linear(ks, *args, **kwargs)
+
+    monkeypatch.setattr(ire.analysis, "bench_linear", spy)
     code, out, err = run(capsys, "bench", "--sizes", "16,64", "--reps", "3", "--csv")
     assert code == 0
     assert "no key given, benching with an ephemeral keyset" in err
     assert len(out.strip().splitlines()) == 1 + 2 + 2
+    # a default keyset, whose loop the default sizes do not run past
+    assert [ks.rbs.length for ks in benched] == [DEFAULT_RBS_BITS]
 
 
 def test_bench_notes_a_single_size_on_stderr(key_file, capsys):
