@@ -23,6 +23,14 @@ the substituted bytes. Both realigning reads run a block at a time.
 Every fixup of either window lies within a few bytes of an end; those
 are computed apart, from the message's first and last bytes only, with
 the plans the key's window permutations keep.
+
+The pipeline substitutes a bytearray, never bytes: CPython's
+bytes.translate compares every output byte with its input, so that it can
+return the input itself when the table changes nothing, and
+bytearray.translate makes no such check, which halves the cost of the
+stage at 1 MiB. That bytearray is the one buffer each direction needs
+anyway: encrypt's copy of the message, which then becomes the payload,
+and decrypt's working buffer, trimmed to the message.
 """
 
 from __future__ import annotations
@@ -111,13 +119,15 @@ def unpad(padded: PaddedMessage) -> bytes:
     return padded.data[:-padded.pad_count]
 
 
-def substitute(data: bytes, table: SubstitutionTable) -> bytes:
-    """Replace every byte through the forward table."""
+def substitute(data: bytes | bytearray, table: SubstitutionTable) -> bytes | bytearray:
+    """Replace every byte through the forward table; the result has
+    data's type, bytes or bytearray."""
     return data.translate(table.forward)
 
 
-def unsubstitute(data: bytes, table: SubstitutionTable) -> bytes:
-    """Replace every byte through the inverse table."""
+def unsubstitute(data: bytes | bytearray, table: SubstitutionTable) -> bytes | bytearray:
+    """Replace every byte through the inverse table; the result has
+    data's type, bytes or bytearray."""
     return data.translate(table.inverse)
 
 
@@ -201,7 +211,7 @@ def packed_combine(out: np.ndarray, rbs: RbsLoop, start: int, rule: str) -> None
             np.invert(block, out=block)
 
 
-def packed_windows(out: np.ndarray, substituted: bytes, byte_perm: WindowPermutation,
+def packed_windows(out: np.ndarray, substituted: bytes | bytearray, byte_perm: WindowPermutation,
                    bit_perm: WindowPermutation) -> None:
     """Byte window, then bit window, of the substituted bytes t, xored
     into out in place.
@@ -308,13 +318,16 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     Deterministic for a fixed (message, keyset, offset). Callers wanting
     distinct ciphertexts per send must draw a fresh offset each time. An
     offset outside the loop raises OffsetError, and one that is not an
-    integer TypeError. The payload is the pipeline's own working array,
-    as a read-only memoryview.
+    integer TypeError. The payload, a read-only memoryview, is the
+    pipeline's one copy of the padded message: a bytearray that is
+    substituted, then overwritten by the combine and the windows.
+    Changing message afterwards leaves it as it is.
     """
     offset = _check_offset(offset, keyset.rbs)
     padded = pad(message)
-    substituted = substitute(padded.data, keyset.sub)
-    payload = np.empty(len(substituted), dtype=np.uint8)
+    work = bytearray(padded.data)
+    substituted = substitute(work, keyset.sub)
+    payload = np.frombuffer(work, dtype=np.uint8)
     packed_combine(payload, keyset.rbs, offset, keyset.rule)
     packed_windows(payload, substituted, keyset.byte_perm, keyset.bit_perm)
     payload.setflags(write=False)
@@ -330,20 +343,28 @@ def decrypt(envelope: CipherEnvelope, keyset: KeySet) -> bytes:
     """Exact inverse of encrypt under the same keyset.
 
     An envelope made under another rule raises RuleMismatchError; one
-    whose start offset lies outside the loop raises OffsetError.
+    whose start offset lies outside the loop raises OffsetError. The
+    combine and the inverse windows run in one bytearray, which is then
+    trimmed to the message and unsubstituted; PaddedMessage copies the
+    result to the bytes returned.
     """
     if envelope.rule_echo != keyset.rule:
         raise RuleMismatchError(
             f"envelope was made under rule {envelope.rule_echo}, keyset holds rule {keyset.rule}")
     _check_offset(envelope.start_offset, keyset.rbs)
-    # The size of a bytes object of n bytes: it covers the inverse
-    # windows' at most 19 spare bytes, and lets the unsubstituted bytes,
-    # made once work is freed, take its memory; at 1 MiB the heap would
-    # otherwise grow and shrink by a page-faulted megabyte on every
-    # other call. Sized from n, as the payload may be a view.
-    work = np.empty(len(envelope.payload) + sys.getsizeof(b""), dtype=np.uint8)
-    packed_combine(work, keyset.rbs, envelope.start_offset - _window_shift(keyset.byte_perm, keyset.bit_perm),
+    # bytearray(k) allocates k + 1 bytes, so work's memory is the size
+    # of a bytes object of n bytes: it covers the inverse windows' at
+    # most 19 spare bytes, and lets the bytes returned, made once work is
+    # freed, take its memory; at 1 MiB the heap would otherwise grow and
+    # shrink by a page-faulted megabyte on every other call. Sized from
+    # n, as the payload may be a view.
+    n = len(envelope.payload)
+    work = bytearray(n + sys.getsizeof(b"") - 1)
+    view = np.frombuffer(work, dtype=np.uint8)
+    packed_combine(view, keyset.rbs, envelope.start_offset - _window_shift(keyset.byte_perm, keyset.bit_perm),
                    keyset.rule)
-    substituted = packed_unwindows(work, envelope.payload, keyset.byte_perm, keyset.bit_perm).tobytes()
-    del work  # before unsubstitute allocates, or the call peaks at 3x
-    return unpad(PaddedMessage(unsubstitute(substituted, keyset.sub), envelope.pad_count))
+    packed_unwindows(view, envelope.payload, keyset.byte_perm, keyset.bit_perm)
+    del view, work[n:]  # a bytearray resizes only once no view holds it
+    plain = unsubstitute(work, keyset.sub)
+    del work  # before PaddedMessage copies plain to bytes, or the call peaks at 3x
+    return unpad(PaddedMessage(plain, envelope.pad_count))

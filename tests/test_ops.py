@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -101,10 +103,20 @@ def test_substitute_identity():
     assert substitute(b"anything at all", table) == b"anything at all"
 
 
+@pytest.mark.parametrize("table", [
+    SubstitutionTable.identity(),
+    SubstitutionTable(bytes(random.Random(3).sample(range(256), 256))),
+], ids=["identity", "random"])
+def test_substitution_result_type_follows_input(table):
+    data = bytes(range(256)) * 3 + b"tail"
+    for stage in (substitute, unsubstitute):
+        as_bytes, as_bytearray = stage(data, table), stage(bytearray(data), table)
+        assert type(as_bytes) is bytes and type(as_bytearray) is bytearray
+        assert as_bytes == as_bytearray
+
+
 @given(data=st.binary(max_size=200), seed=st.integers(0, 2 ** 16))
 def test_substitute_round_trip(data, seed):
-    import random
-
     from ire.keymat import generate_substitution_table
 
     table = generate_substitution_table(random.Random(seed))
@@ -171,8 +183,6 @@ def test_rules_are_complements():
     seed=st.integers(0, 2 ** 16),
 )
 def test_combine_is_an_involution(bit_list, offset, rule, seed):
-    import random
-
     rng = random.Random(seed)
     loop = RbsLoop(np.array([rng.randrange(2) for _ in range(80)], dtype=np.uint8))
     bits = np.array(bit_list, dtype=np.uint8)
@@ -199,8 +209,6 @@ def test_combine_validation():
 
 
 def test_combine_spans_loop_more_than_twice():
-    import random
-
     rng = random.Random(59)
     loop_bits = [rng.randrange(2) for _ in range(97)]
     loop = RbsLoop(np.array(loop_bits, dtype=np.uint8))

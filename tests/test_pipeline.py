@@ -501,9 +501,28 @@ def test_ciphertext_size_law(small_keyset):
 def test_encrypt_hands_over_a_read_only_view(small_keyset):
     env = encrypt(b"a message of some length", small_keyset, 5)
     assert isinstance(env.payload, memoryview) and env.payload.readonly
+    with pytest.raises(TypeError):
+        env.payload[0] = 0
     with pytest.raises(ValueError):
         np.frombuffer(env.payload, dtype=np.uint8)[0] = 0
     assert decrypt(decode_envelope(encode_envelope(env)), small_keyset) == b"a message of some length"
+
+
+@pytest.mark.parametrize("n", [3, 10, 100 << 10])
+def test_decrypt_returns_exactly_bytes(small_keyset, n):
+    message = random.Random(n).randbytes(n)
+    plain = decrypt(encrypt(message, small_keyset, 7), small_keyset)
+    assert type(plain) is bytes and plain == message
+
+
+def test_changing_a_bytearray_message_after_encrypt_changes_no_envelope(small_keyset):
+    original = random.Random(89).randbytes(300)
+    message = bytearray(original)
+    env = encrypt(message, small_keyset, 11)
+    payload, wire = bytes(env.payload), encode_envelope(env)
+    message[:] = bytes(len(message))
+    assert bytes(env.payload) == payload and encode_envelope(env) == wire
+    assert decrypt(env, small_keyset) == original
 
 
 # --- memory ------------------------------------------------------------------
@@ -531,10 +550,11 @@ def test_wrapping_1mib_round_trip_peaks_under_4x_payload():
 
 
 def test_1mib_calls_hold_one_working_array():
-    # each direction allocates one payload-sized array beside the bytes
-    # objects it must return or read: encrypt holds the substituted bytes
-    # and the payload array, which the envelope keeps; decrypt holds its
-    # working array and its bytes, then those bytes and the unsubstituted.
+    # each direction allocates one payload-sized buffer beside the one it
+    # must return: encrypt holds its copy of the message, which becomes
+    # the payload the envelope keeps, and the substituted bytes; decrypt
+    # holds its working buffer and the unsubstituted bytes, then those
+    # and the bytes it returns.
     # The payload crosses the envelope as a view, so encode_envelope adds
     # only the wire bytes and decode_envelope adds nothing.
     keyset = parse_keyset(serialize_keyset(generate_keyset(random.Random(73))))
