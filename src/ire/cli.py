@@ -15,8 +15,10 @@ subcommand's parser, under its usage line, as argparse's own errors are.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import random
+import struct
 import sys
 import tempfile
 
@@ -183,6 +185,55 @@ _KNOWN_KEY_BITS = "1001100001"
 _KNOWN_RULE_B_BITS = "0010101011"
 _KNOWN_RULE_A_BITS = "1101010100"
 
+# Known-answer ciphertexts, which catch a fault that encrypt and decrypt
+# share and a round trip therefore hides. Two keys, one per rule, are
+# IREK images written byte by byte from SHAKE-256 output, so that they
+# depend on the file format alone, with a loop of _KNOWN_LOOP_BITS.
+# Under each, messages of the lengths below are encrypted at the offsets
+# beside them: padded, window ends meeting, with an interior, and across
+# the loop's seam, at offsets on and off multiples of 8.
+# _KNOWN_CIPHERTEXTS is the SHA-256 of their IRE1 images in that order,
+# which the reference pipeline in tests/oracles.py also gives.
+_KNOWN_LOOP_BITS = 4099
+_KNOWN_MESSAGES = ((3, 0), (24, 13), (200, 2048), (700, 4096), (700, 4093))
+_KNOWN_CIPHERTEXTS = "9089405eef1660c45e57c28cebca643599cd84a6a5d9317c1a93ab7121796f08"
+
+
+def _shake(count: int, *label) -> bytes:
+    return hashlib.shake_256("/".join(map(str, ("ire-selftest",) + label)).encode()).digest(count)
+
+
+def _known_key_image(rule_flag: int) -> bytes:
+    def permutation(count: int, name: str) -> bytes:
+        stream = _shake(2 * count, rule_flag, name)
+        return bytes(sorted(range(count), key=lambda i: (stream[2 * i:2 * i + 2], i)))
+
+    loop = bytearray(_shake(-(-_KNOWN_LOOP_BITS // 8), rule_flag, "loop"))
+    loop[-1] &= 0xFF << -_KNOWN_LOOP_BITS % 8 & 0xFF  # the pad bits are zero
+    return b"".join([b"IREK", bytes([1, rule_flag]), permutation(256, "sub"), permutation(10, "byte"),
+                     permutation(80, "bit"), struct.pack("<Q", _KNOWN_LOOP_BITS), loop])
+
+
+def _known_answer_cases():
+    """(keyset, message, offset) of each known-answer ciphertext, in order."""
+    for rule_flag in (0, 1):
+        ks = keymat.parse_keyset(_known_key_image(rule_flag))
+        for n, offset in _KNOWN_MESSAGES:
+            yield ks, _shake(n, rule_flag, "message", n), offset
+
+
+def _known_answers_hold() -> bool:
+    digest = hashlib.sha256()
+    try:
+        for ks, message, offset in _known_answer_cases():
+            image = envelope_mod.encode_envelope(ops.encrypt(message, ks, offset))
+            digest.update(image)
+            if ops.decrypt(envelope_mod.decode_envelope(image), ks) != message:
+                return False
+    except IreError:  # a misread bit can garble the padding, which decrypt refuses
+        return False
+    return digest.hexdigest() == _KNOWN_CIPHERTEXTS
+
 
 def _selftest_checks() -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
@@ -238,6 +289,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
         if not sweep_ok:
             break
     checks.append(("random round-trip sweep", sweep_ok))
+    checks.append(("known-answer ciphertexts", _known_answers_hold()))
     return checks
 
 

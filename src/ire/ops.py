@@ -19,10 +19,14 @@ S being the byte and the bit window's slack: packed_windows xors a
 realigning read of the substituted bytes into the array, and decrypt
 reads the key from 8L + S bits before the offset, so that
 packed_unwindows xors the ciphertext in at the opposite shift and leaves
-the substituted bytes. Both realigning reads run a block at a time.
-Every fixup of either window lies within a few bytes of an end; those
-are computed apart, from the message's first and last bytes only, with
-the plans the key's window permutations keep.
+the substituted bytes. Every fixup of either window lies within a few
+bytes of an end; those are computed apart, from the message's first and
+last bytes only, with the plans the key's window permutations keep.
+
+The combine's keystream and both windows' interiors are the same
+realigning read of packed bytes, one kernel (keystream._shift_bits) that
+runs a block at a time, so none of the stages holds more than a block of
+temporaries beside the message, whatever its length.
 
 The pipeline substitutes a bytearray, never bytes: CPython's
 bytes.translate compares every output byte with its input, so that it can
@@ -45,7 +49,7 @@ from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
 from .keymat import BIT_WINDOW, BYTE_WINDOW, RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
-from .keystream import RbsLoop, _xor_bits
+from .keystream import RbsLoop, _shift_bits
 
 __all__ = [
     "PAD_BYTE",
@@ -100,16 +104,21 @@ class PaddedMessage:
                 raise CorruptionError("pad count inconsistent with trailing bytes")
 
 
+def _padding(length: int) -> bytes:
+    """The 0x20 bytes that bring a message of length bytes up to 10
+    bytes: none from 10 bytes on. pad and encrypt both append these."""
+    return bytes([PAD_BYTE]) * max(PAD_WIDTH - length, 0)
+
+
 def pad(message: bytes) -> PaddedMessage:
     """Append 0x20 bytes until the message reaches 10 bytes.
 
     Messages of 10 bytes or more pass through untouched with a pad
     count of zero.
     """
-    if len(message) >= PAD_WIDTH:
-        return PaddedMessage(bytes(message), 0)
-    count = PAD_WIDTH - len(message)
-    return PaddedMessage(bytes(message) + bytes([PAD_BYTE]) * count, count)
+    data = bytes(message)
+    padding = _padding(len(data))
+    return PaddedMessage(data + padding if padding else data, len(padding))
 
 
 def unpad(padded: PaddedMessage) -> bytes:
@@ -151,12 +160,6 @@ def sliding_bit_unpermute(bits: np.ndarray, perm: WindowPermutation) -> np.ndarr
     return sliding.apply_backward(np.asarray(bits, dtype=np.uint8), perm.plan)
 
 
-# Bytes handled at once by the packed combine and window stages: small
-# enough that a block and its temporaries stay in cache, large enough
-# that the per-block numpy calls cost little.
-_BLOCK_BYTES = 1 << 17
-
-
 def keystream_combine(bits: np.ndarray, rbs: RbsLoop, offset: int, rule: str) -> np.ndarray:
     """Combine a bit buffer with the loop fragment starting at offset.
 
@@ -185,30 +188,21 @@ def _window_shift(byte_perm: WindowPermutation, bit_perm: WindowPermutation) -> 
     return 8 * byte_perm.plan.slack + bit_perm.plan.slack
 
 
-def _xor_realigned(out: np.ndarray, src: np.ndarray, shift: int, lo: int, hi: int) -> None:
-    """Xor into each byte k of out[lo:hi] the 8 bits of packed src from
-    bit 8k + shift on, a block at a time."""
-    for a0 in range(lo, hi, _BLOCK_BYTES):
-        _xor_bits(src, 8 * a0 + shift, out[a0:min(a0 + _BLOCK_BYTES, hi)])
-
-
 def packed_combine(out: np.ndarray, rbs: RbsLoop, start: int, rule: str) -> None:
     """Keystream combine over packed bytes, in place: fill out with the
     loop's bits from bit start on, wrapping, complemented under rule A.
 
     out is a writable uint8 array of any size; start may be any integer
     and is taken modulo the loop's length. Under either rule, bit j of
-    out ^ x is keystream_combine of x's bit j. Reads the loop a block at
-    a time, so it allocates no more than a block beside out. A rule
-    outside RULES raises ValueError.
+    out ^ x is keystream_combine of x's bit j. RbsLoop.read realigns
+    the loop's bits a block at a time, so the combine allocates no more
+    than a block beside out. A rule outside RULES raises ValueError.
     """
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}")
-    for k0 in range(0, out.size, _BLOCK_BYTES):
-        block = out[k0:k0 + _BLOCK_BYTES]
-        rbs.read((start + 8 * k0) % rbs.length, block)
-        if rule == RULE_A:
-            np.invert(block, out=block)
+    rbs.read(start % rbs.length, out)
+    if rule == RULE_A:
+        np.invert(out, out=out)
 
 
 def packed_windows(out: np.ndarray, substituted: bytes | bytearray, byte_perm: WindowPermutation,
@@ -236,7 +230,7 @@ def packed_windows(out: np.ndarray, substituted: bytes | bytearray, byte_perm: W
     if head + tail > n:
         head, tail = n, 0
     lo, hi = (_EDGE, n - tail) if tail else (n, n)  # the interior, read straight from t
-    _xor_realigned(out, t, _window_shift(byte_perm, bit_perm), lo, hi)
+    _shift_bits(t, 8 * lo + _window_shift(byte_perm, bit_perm), out[lo:hi], xor=True)
     # edges[:cells] stands for t, edges[lead:lead + cells] for the byte
     # window's output, and that output's bits from slack on for the bit
     # window's; the spare bytes after t take the shifts.
@@ -286,7 +280,7 @@ def packed_unwindows(work: np.ndarray, ciphertext: bytes | memoryview, byte_perm
     if work.size < n + lead + margin:
         raise ValueError(f"work holds {work.size} bytes, the windows need {n + lead + margin}")
     lo, hi = lead + margin, n + lead + whole  # the bytes the ciphertext covers in full
-    _xor_realigned(work, cipher, -_window_shift(byte_perm, bit_perm), lo, hi)
+    _shift_bits(cipher, 8 * lo - _window_shift(byte_perm, bit_perm), work[lo:hi], xor=True)
     if part:  # the first and the last byte it covers in part
         work[lo - 1] ^= ciphertext[0] >> part
         work[hi] ^= ciphertext[-1] << (8 - part) & 0xFF
@@ -319,13 +313,14 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     distinct ciphertexts per send must draw a fresh offset each time. An
     offset outside the loop raises OffsetError, and one that is not an
     integer TypeError. The payload, a read-only memoryview, is the
-    pipeline's one copy of the padded message: a bytearray that is
-    substituted, then overwritten by the combine and the windows.
+    pipeline's one copy of the message: a bytearray, padded as pad
+    pads, substituted, then overwritten by the combine and the windows.
     Changing message afterwards leaves it as it is.
     """
     offset = _check_offset(offset, keyset.rbs)
-    padded = pad(message)
-    work = bytearray(padded.data)
+    work = bytearray(memoryview(message))  # memoryview refuses an int, which bytearray reads as a size
+    padding = _padding(len(work))
+    work += padding
     substituted = substitute(work, keyset.sub)
     payload = np.frombuffer(work, dtype=np.uint8)
     packed_combine(payload, keyset.rbs, offset, keyset.rule)
@@ -333,7 +328,7 @@ def encrypt(message: bytes, keyset: KeySet, offset: int) -> CipherEnvelope:
     payload.setflags(write=False)
     return CipherEnvelope(
         rule_echo=keyset.rule,
-        pad_count=padded.pad_count,
+        pad_count=len(padding),
         start_offset=offset,
         payload=memoryview(payload),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import random
@@ -9,9 +10,11 @@ import pytest
 
 import ire.analysis
 import ire.cli
+import ire.keystream
 import ire.ops
+import oracles
 from ire.cli import main
-from ire.envelope import HEADER_LEN, decode_envelope, encode_envelope
+from ire.envelope import HEADER_LEN, CipherEnvelope, decode_envelope, encode_envelope
 from ire.keymat import parse_keyset
 from ire.keystream import DEFAULT_RBS_BITS
 
@@ -46,7 +49,7 @@ def test_python_m_ire_cli_runs_the_command():
     done = subprocess.run([sys.executable, "-m", "ire.cli", "selftest"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[-1] == "10/10 checks passed"
+    assert done.stdout.splitlines()[-1] == "11/11 checks passed"
 
 
 def test_console_script_entry_point_is_app():
@@ -309,7 +312,7 @@ def test_swapped_key_and_envelope_is_an_error(tmp_path, key_file, capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "10/10 checks passed" in out
+    assert "11/11 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -329,6 +332,41 @@ def test_selftest_catches_broken_permute(capsys, monkeypatch):
     assert "FAIL ten-byte window reorder" in out
 
 
+def test_selftest_known_answers_are_the_reference_pipeline():
+    digest = hashlib.sha256()
+    for keyset, message, offset in ire.cli._known_answer_cases():
+        payload, pad_count = oracles.encrypt_reference(message, keyset, offset)
+        digest.update(encode_envelope(CipherEnvelope(keyset.rule, pad_count, offset, payload)))
+    assert digest.hexdigest() == ire.cli._KNOWN_CIPHERTEXTS
+
+
+def _read_one_bit_late(monkeypatch):
+    real = ire.keystream._shift_bits
+
+    def late(src, bit, out, xor=False):
+        real(src, bit + 1, out, xor)
+
+    monkeypatch.setattr(ire.keystream, "_shift_bits", late)
+    monkeypatch.setattr(ire.ops, "_shift_bits", late)
+
+
+def _combine_one_bit_late(monkeypatch):
+    real = ire.ops.packed_combine
+    monkeypatch.setattr(ire.ops, "packed_combine", lambda out, rbs, start, rule: real(out, rbs, start + 1, rule))
+
+
+@pytest.mark.parametrize("fault, sweep_passes", [(_read_one_bit_late, False), (_combine_one_bit_late, True)],
+                         ids=["shift kernel", "combine"])
+def test_selftest_known_answers_catch_a_read_one_bit_late(capsys, monkeypatch, fault, sweep_passes):
+    # the combine's keystream read one bit late in encrypt and decrypt
+    # alike still round-trips, so only the known answers see that fault
+    fault(monkeypatch)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL known-answer ciphertexts" in out
+    assert ("ok   random round-trip sweep" in out) == sweep_passes
+
+
 def test_selftest_reports_sweep_that_raises(capsys, monkeypatch):
     # Seed 83 makes the sweep's first message one byte long. Encrypting
     # without substitution garbles its padding on decrypt, which raises
@@ -344,10 +382,10 @@ def test_selftest_reports_sweep_that_raises(capsys, monkeypatch):
 
     monkeypatch.setattr(ire.ops, "encrypt", recording_encrypt)
     code, out, _ = run(capsys, "selftest")
-    assert lengths == [1]
+    assert lengths[0] == 1  # then the known answers' messages
     assert code == 1
     assert "FAIL random round-trip sweep" in out
-    assert "9/10 checks passed" in out
+    assert "9/11 checks passed" in out
 
 
 # --- bench ----------------------------------------------------------------------

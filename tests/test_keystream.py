@@ -2,6 +2,7 @@ import hashlib
 import math
 import mmap
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from ire.analysis import monobit_test
 from ire.bits import bits_from_string, bits_to_string
 from ire.errors import GenerationError
-from ire.keystream import DEFAULT_RBS_BITS, RbsLoop, choose_offset, generate_rbs
+from ire.keystream import _BLOCK_BYTES, DEFAULT_RBS_BITS, RbsLoop, _shift_bits, choose_offset, generate_rbs
 
 
 def make_loop(pattern, length):
@@ -169,6 +170,38 @@ def test_packed_read_matches_unpacked_definition():
         for start in (-1, length):
             with pytest.raises(ValueError):
                 loop.read(start, np.empty(1, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("xor", [False, True])
+def test_shift_bits_matches_unpacked_definition(xor):
+    # every phase, and sizes around one and two blocks, against the bits
+    # of src from bit on, unpacked and packed again
+    rng = random.Random(67)
+    for size in (0, 1, _BLOCK_BYTES - 1, _BLOCK_BYTES, _BLOCK_BYTES + 1, 2 * _BLOCK_BYTES + 3):
+        src = np.frombuffer(rng.randbytes(size + 3), dtype=np.uint8)
+        before = np.frombuffer(rng.randbytes(size), dtype=np.uint8)
+        for bit in range(8, 16):
+            out = before.copy()
+            _shift_bits(src, bit, out, xor=xor)
+            expected = np.packbits(np.unpackbits(src)[bit:bit + 8 * size])
+            if xor:
+                expected ^= before
+            assert np.array_equal(out, expected), (size, bit)
+
+
+def test_read_into_1mib_holds_one_block_beside_it():
+    # the realigning read runs a block at a time, whoever calls it
+    loop = RbsLoop.from_packed(random.Random(71).randbytes(1 << 20), 8 << 20)
+    out = np.empty(1 << 20, dtype=np.uint8)
+    for start in (3, loop.length - 5):  # short of the seam, and across it
+        tracemalloc.start()
+        try:
+            loop.read(start, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200_000, f"a read from {start} allocated {peak} bytes"
+
 
 def generate_rbs_unpacked(rng, length):
     """generate_rbs written over unpacked bits; returns its packed loop and the draws it took."""

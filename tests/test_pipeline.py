@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ire import ops
+from ire import keystream, ops
 from ire.bits import bits_to_bytes, bytes_to_bits
 from ire.envelope import HEADER_LEN, CipherEnvelope, decode_envelope, encode_envelope
 from ire.errors import CorruptionError, OffsetError, RuleMismatchError
@@ -84,7 +84,7 @@ def test_ciphertexts_are_pinned():
     # the most slack in either window, from the loop's start and across
     # its seam
     rng = random.Random(0x5EED)
-    block_bytes = ops._BLOCK_BYTES
+    block_bytes = keystream._BLOCK_BYTES
     lengths = [*range(131), *(k * block_bytes + d for k in (1, 2) for d in (-1, 0, 1))]
     digest = hashlib.sha256()
     for rbs_bits in (97, 4099, 300_007):
@@ -135,7 +135,7 @@ def test_pipeline_matches_public_stages_across_blocks(rbs_bits):
     # public stages give; so must short messages, whose window edges
     # overlap, under maps with no shift and with the largest shifts
     rng = random.Random(71 + rbs_bits)
-    block_bytes = ops._BLOCK_BYTES
+    block_bytes = keystream._BLOCK_BYTES
     for rule in (RULE_A, RULE_B):
         keyset = generate_keyset(rng, rbs_bits=rbs_bits, rule=rule)
         for n in (10, 11, block_bytes - 1, block_bytes, block_bytes + 1, 2 * block_bytes + 77):
@@ -171,7 +171,7 @@ def test_edge_fixups_match_public_stages_and_reference(byte_cycles, bit_cycles, 
     assert ShiftPlan(keyset.bit_perm.map).slack == sum(bit_cycles)
     loop = keyset.rbs.length
     offsets = [0, loop - 1, loop - 4, loop - 8]
-    block_bytes = ops._BLOCK_BYTES
+    block_bytes = keystream._BLOCK_BYTES
     for n in [*range(10, 97), block_bytes - 1, block_bytes, block_bytes + 1, block_bytes + 10]:
         message = rng.randbytes(n)
         for offset in offsets:
@@ -213,7 +213,7 @@ def test_every_short_length_matches_reference_and_public_stages(byte_cycles, bit
 # --- the packed stages, one at a time --------------------------------------
 
 def _stage_lengths():
-    block_bytes = ops._BLOCK_BYTES
+    block_bytes = keystream._BLOCK_BYTES
     return [*range(121), *(k * block_bytes + d for k in (1, 2) for d in (-1, 0, 1))]
 
 
@@ -577,6 +577,26 @@ def test_1mib_calls_hold_one_working_array():
         finally:
             tracemalloc.stop()
         assert peak <= bound, f"{name} peaked at {peak:.2f}x"
+
+
+def test_bytearray_message_is_copied_once():
+    # encrypt copies any message once, straight into its working buffer,
+    # so a bytearray peaks no higher than the same bytes
+    keyset = generate_keyset(random.Random(89))
+    message = random.Random(97).randbytes(256 << 10)
+    encrypt(message, keyset, 5)  # plans warm
+    peaks = {}
+    for kind in (bytes, bytearray):
+        given = kind(message)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            payload = encrypt(given, keyset, 5).payload
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload == encrypt(message, keyset, 5).payload
+    assert peaks[bytearray] <= peaks[bytes], {kind.__name__: peak / len(message) for kind, peak in peaks.items()}
 
 
 def test_memory_held_does_not_grow_with_distinct_lengths():
