@@ -230,7 +230,7 @@ def _known_answers_hold() -> bool:
             digest.update(image)
             if ops.decrypt(envelope_mod.decode_envelope(image), ks) != message:
                 return False
-    except IreError:  # a misread bit can garble the padding, which decrypt refuses
+    except Exception:  # a misread bit can garble the padding, which decrypt refuses, or raise outright
         return False
     return digest.hexdigest() == _KNOWN_CIPHERTEXTS
 
@@ -283,8 +283,9 @@ def _selftest_checks() -> list[tuple[str, bool]]:
             envelope = envelope_mod.decode_envelope(
                 envelope_mod.encode_envelope(ops.encrypt(message, ks, offset)))
             sweep_ok = ops.decrypt(envelope, ks) == message
-        except IreError:
-            # a broken stage can garble the padding so that decrypt refuses it
+        except Exception:
+            # a broken stage can garble the padding so that decrypt
+            # refuses it, or raise outright; either fails the check
             sweep_ok = False
         if not sweep_ok:
             break

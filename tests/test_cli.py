@@ -388,6 +388,20 @@ def test_selftest_reports_sweep_that_raises(capsys, monkeypatch):
     assert "9/11 checks passed" in out
 
 
+def test_selftest_reports_a_stage_that_raises_outright(capsys, monkeypatch):
+    # a kernel read past its source raises numpy's ValueError, not an
+    # IreError; the checks that meet it must fail, not abort the command
+    def overrun(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(ire.ops, "packed_windows", overrun)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL random round-trip sweep" in out
+    assert "FAIL known-answer ciphertexts" in out
+    assert "9/11 checks passed" in out
+
+
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_csv_smoke(tmp_path, key_file, capsys):
