@@ -118,7 +118,7 @@ def pad(message: bytes) -> PaddedMessage:
     """
     data = bytes(message)
     padding = _padding(len(data))
-    return PaddedMessage(data + padding if padding else data, len(padding))
+    return PaddedMessage(data + padding, len(padding))
 
 
 def unpad(padded: PaddedMessage) -> bytes:

@@ -382,7 +382,7 @@ def test_selftest_reports_sweep_that_raises(capsys, monkeypatch):
 
     monkeypatch.setattr(ire.ops, "encrypt", recording_encrypt)
     code, out, _ = run(capsys, "selftest")
-    assert lengths[0] == 1  # then the known answers' messages
+    assert lengths == [1, 3]  # the sweep stops at its first failure, then the first known answer fails
     assert code == 1
     assert "FAIL random round-trip sweep" in out
     assert "9/11 checks passed" in out

@@ -191,7 +191,8 @@ def test_shift_bits_matches_unpacked_definition(xor):
 
 def test_read_into_1mib_holds_one_block_beside_it():
     # the realigning read runs a block at a time, whoever calls it
-    loop = RbsLoop.from_packed(random.Random(71).randbytes(1 << 20), 8 << 20)
+    # the loop is longer than the read, so that start 3 stays short of the seam
+    loop = RbsLoop.from_packed(random.Random(71).randbytes(9 << 20), (9 << 20) * 8)
     out = np.empty(1 << 20, dtype=np.uint8)
     for start in (3, loop.length - 5):  # short of the seam, and across it
         tracemalloc.start()
