@@ -8,7 +8,8 @@ checks, and a linear-scaling benchmark.
 
 The package exports the encrypt and decrypt round trip and keyset
 handling; everything else lives in its module: ire.ops (the stages),
-ire.keymat, ire.keystream, ire.envelope, ire.errors, ire.analysis,
+ire.keymat, ire.keystream, ire.envelope, ire.formats (both file
+formats, on the standard library alone), ire.errors, ire.analysis,
 ire.sliding and ire.bits.
 """
 

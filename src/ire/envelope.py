@@ -1,23 +1,12 @@
 """Ciphertext container: the cleartext header riding with each message.
 
-Wire layout (IRE1 version 1, all integers little-endian):
-
-    offset 0   magic "IRE1"
-    offset 4   version, 0x01
-    offset 5   combine rule flag: 0x00 rule A, 0x01 rule B
-    offset 6   pad count, u8, 0..10
-    offset 7   keystream start offset, u64
-    offset 15  payload byte length, u64
-    offset 23  payload
-
-The header, offsets 0 to 22, is the one struct format _HEADER;
-encode_envelope packs it and decode_envelope reads its fields back. Its
-first six bytes are those an IREK key file opens with, and
-keymat._read_header checks them for both and returns the other fields.
-decode_envelope checks the fields only it reads, the pad count and the
-declared length;
-CipherEnvelope checks the rest of what an envelope must hold, for
-decoded and built envelopes alike.
+An envelope travels as IRE1 version 1. ire.formats states its layout,
+its header struct ENVELOPE_HEADER and its rule flag, and holds
+read_header, which checks the six bytes that an IREK key file opens
+with too. encode_envelope packs the header; decode_envelope has
+read_header return its fields, then checks those only it reads, the
+pad count and the declared length. CipherEnvelope checks the rest of
+what an envelope must hold, for decoded and built envelopes alike.
 
 The start offset travels in the clear by design; without the keyset it
 names a position in a loop the attacker does not have.
@@ -31,14 +20,13 @@ without copying it; bytes(envelope.payload) gives a copy.
 from __future__ import annotations
 
 import operator
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EnvelopeFormatError
-from .keymat import _RULE_FLAGS, BYTE_WINDOW, RULES, _read_header
+from .formats import BYTE_WINDOW, ENVELOPE_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION, HEADER_LEN, RULES, read_header
 
 __all__ = [
     "ENVELOPE_MAGIC",
@@ -48,12 +36,6 @@ __all__ = [
     "encode_envelope",
     "decode_envelope",
 ]
-
-ENVELOPE_MAGIC = b"IRE1"
-ENVELOPE_VERSION = 1
-# magic, version, rule flag, pad count, start offset, payload length
-_HEADER = struct.Struct("<4sBBBQQ")
-HEADER_LEN = _HEADER.size
 
 # a payload fills at least one byte window, and padding only ever
 # brings a message up to one
@@ -128,10 +110,10 @@ def _is_byte_view(payload) -> bool:
 
 def encode_envelope(envelope: CipherEnvelope) -> bytes:
     """Produce the byte-exact IRE1 v1 image: the header packed through
-    _HEADER, then the payload."""
+    ENVELOPE_HEADER, then the payload."""
     return b"".join([
-        _HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION, _RULE_FLAGS[envelope.rule_echo],
-                     envelope.pad_count, envelope.start_offset, len(envelope.payload)),
+        ENVELOPE_HEADER.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION, RULES.index(envelope.rule_echo),
+                             envelope.pad_count, envelope.start_offset, len(envelope.payload)),
         envelope.payload,
     ])
 
@@ -149,8 +131,8 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
     bytes or a nonzero pad count beside one of more, it refuses here
     too, as an EnvelopeFormatError with the same message.
     """
-    rule, pad_count, start_offset, declared = _read_header(
-        data, _HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION, EnvelopeFormatError, "envelope")
+    rule, pad_count, start_offset, declared = read_header(
+        data, ENVELOPE_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION, EnvelopeFormatError, "envelope")
     if pad_count > _MAX_PAD:
         raise EnvelopeFormatError(f"pad count {pad_count} exceeds {_MAX_PAD}")
     actual = len(data) - HEADER_LEN

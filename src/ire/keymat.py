@@ -1,39 +1,24 @@
 """Key material: substitution table, window permutations, keyset file.
 
-The keyset file format (IREK version 1, all integers little-endian):
-
-    offset 0    magic "IREK"
-    offset 4    version, 0x01
-    offset 5    combine rule flag: 0x00 rule A, 0x01 rule B
-    offset 6    substitution table, 256 bytes (forward direction only)
-    offset 262  byte-window permutation, 10 bytes, values 0..9
-    offset 272  bit-window permutation, 80 bytes, values 0..79
-    offset 352  RBS bit length, u64
-    offset 360  RBS bits, MSB-first packed, ceil(length/8) bytes;
-                pad bits of the final byte are zero
-
-The fixed-size part, offsets 0 to 359, is the one struct format _HEADER;
-serialize_keyset packs it and parse_keyset reads its fields back. The
-inverse substitution table is not stored: SubstitutionTable derives it
-from the forward table.
-
-An IRE1 envelope (envelope.py) opens with the same six bytes: magic,
-version and rule flag. _read_header checks them and unpacks the fixed
-header for both formats, and _RULE_FLAGS is the one statement of the
-flag's encoding.
+A keyset travels as an IREK version 1 key file. ire.formats states its
+layout, its header struct KEY_HEADER and its rule flag, and holds
+read_header, the one reader of both file formats' headers.
+serialize_keyset packs the header and parse_keyset reads its fields
+back, then checks those only it reads. The inverse substitution table
+is not stored: SubstitutionTable derives it from the forward table.
 """
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import random
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .entropy import resolve_rng
 from .errors import KeyFormatError
+from .formats import (BIT_WINDOW, BYTE_WINDOW, KEY_HEADER, KEY_MAGIC, KEY_VERSION, RULE_A, RULE_B, RULES,
+                      keyset_fingerprint, read_header)
 from .keystream import DEFAULT_RBS_BITS, RbsLoop, generate_rbs
 from .sliding import ShiftPlan
 
@@ -56,21 +41,6 @@ __all__ = [
     "keyset_fingerprint",
 ]
 
-RULE_A = "A"  # equal bits combine to 1
-RULE_B = "B"  # equal bits combine to 0
-RULES = (RULE_A, RULE_B)
-
-BYTE_WINDOW = 10
-BIT_WINDOW = 80
-
-KEY_MAGIC = b"IREK"
-KEY_VERSION = 1
-
-_RULE_FLAGS = {RULE_A: 0, RULE_B: 1}
-_FLAG_RULES = {flag: rule for rule, flag in _RULE_FLAGS.items()}
-# magic, version, rule flag, substitution table, byte-window map,
-# bit-window map, RBS bit length; the packed RBS follows
-_HEADER = struct.Struct("<4sBB256s10s80sQ")
 _IDENTITY = bytes(range(256))
 
 
@@ -146,10 +116,9 @@ class KeySet:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise TypeError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
-        if self.byte_perm.width != BYTE_WINDOW:
-            raise ValueError(f"byte-window permutation must have width {BYTE_WINDOW}")
-        if self.bit_perm.width != BIT_WINDOW:
-            raise ValueError(f"bit-window permutation must have width {BIT_WINDOW}")
+        for name, perm, width in (("byte", self.byte_perm, BYTE_WINDOW), ("bit", self.bit_perm, BIT_WINDOW)):
+            if perm.width != width:
+                raise ValueError(f"{name}-window permutation must have width {width}")
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
 
@@ -188,40 +157,15 @@ def generate_keyset(
 def serialize_keyset(keyset: KeySet) -> bytes:
     """Produce the byte-exact IREK v1 image of a keyset.
 
-    The fixed header is packed through _HEADER, and the packed loop is
+    The fixed header is packed through KEY_HEADER, and the packed loop is
     joined after it straight from the keyset, so the image is the only
     loop-sized allocation.
     """
     return b"".join([
-        _HEADER.pack(KEY_MAGIC, KEY_VERSION, _RULE_FLAGS[keyset.rule], keyset.sub.forward,
+        KEY_HEADER.pack(KEY_MAGIC, KEY_VERSION, RULES.index(keyset.rule), keyset.sub.forward,
                      bytes(keyset.byte_perm.map), bytes(keyset.bit_perm.map), keyset.rbs.length),
         keyset.rbs.packed,
     ])
-
-
-def _read_header(data, header: struct.Struct, magic: bytes, version: int, error: type[Exception], kind: str) -> tuple:
-    """Read the fixed-size header of an IREK key file or an IRE1
-    envelope, whose struct format header states, and return the rule
-    followed by the format's fields after the rule flag.
-
-    Both formats open with the same six bytes: magic, version and rule
-    flag. The magic is checked first, then that data holds all
-    header.size bytes, then the version and the flag. A failed check
-    raises error with a message that names kind, "key file" or
-    "envelope".
-    """
-    if len(data) < len(magic):
-        raise error(f"truncated {kind}: shorter than the magic")
-    if data[:len(magic)] != magic:
-        raise error(f"bad magic: not an {magic.decode()} {kind}")
-    if len(data) < header.size:
-        raise error(f"truncated {kind}: header cut short")
-    fields = header.unpack_from(data)  # magic, version, rule flag, then the format's own
-    if fields[1] != version:
-        raise error(f"unsupported {kind} version {fields[1]}")
-    if fields[2] not in _FLAG_RULES:
-        raise error(f"invalid rule flag {fields[2]:#04x}")
-    return (_FLAG_RULES[fields[2]],) + fields[3:]
 
 
 def parse_keyset(data: bytes) -> KeySet:
@@ -234,18 +178,17 @@ def parse_keyset(data: bytes) -> KeySet:
     alive; data given as a bytearray, or a view of one, is copied once,
     as RbsLoop.from_packed does.
     """
-    rule, forward, byte_map, bit_map, rbs_bits = _read_header(
-        data, _HEADER, KEY_MAGIC, KEY_VERSION, KeyFormatError, "key file")
+    rule, forward, byte_map, bit_map, rbs_bits = read_header(
+        data, KEY_HEADER, KEY_MAGIC, KEY_VERSION, KeyFormatError, "key file")
     if len(set(forward)) != 256:
         raise KeyFormatError("invalid substitution table: not a bijection")
-    if sorted(byte_map) != list(range(BYTE_WINDOW)):
-        raise KeyFormatError("byte-window map is not a permutation of 0..9")
-    if sorted(bit_map) != list(range(BIT_WINDOW)):
-        raise KeyFormatError("bit-window map is not a permutation of 0..79")
+    for name, window_map, width in (("byte", byte_map, BYTE_WINDOW), ("bit", bit_map, BIT_WINDOW)):
+        if sorted(window_map) != list(range(width)):
+            raise KeyFormatError(f"{name}-window map is not a permutation of 0..{width - 1}")
 
     if rbs_bits < RbsLoop.MIN_BITS:
         raise KeyFormatError(f"RBS shorter than {RbsLoop.MIN_BITS} bits")
-    expected = _HEADER.size + (rbs_bits + 7) // 8  # checked before any allocation
+    expected = KEY_HEADER.size + (rbs_bits + 7) // 8  # checked before any allocation
     if len(data) < expected:
         raise KeyFormatError("truncated key file: RBS section cut short")
     if len(data) > expected:
@@ -258,11 +201,6 @@ def parse_keyset(data: bytes) -> KeySet:
         sub=SubstitutionTable(forward),
         byte_perm=WindowPermutation(BYTE_WINDOW, byte_map),
         bit_perm=WindowPermutation(BIT_WINDOW, bit_map),
-        rbs=RbsLoop.from_packed(memoryview(data)[_HEADER.size:], rbs_bits),
+        rbs=RbsLoop.from_packed(memoryview(data)[KEY_HEADER.size:], rbs_bits),
         rule=rule,
     )
-
-
-def keyset_fingerprint(serialized: bytes) -> str:
-    """Short digest for telling key files apart."""
-    return hashlib.sha256(serialized).hexdigest()

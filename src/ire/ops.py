@@ -48,7 +48,8 @@ import numpy as np
 from . import sliding
 from .envelope import CipherEnvelope
 from .errors import CorruptionError, OffsetError, RuleMismatchError
-from .keymat import BIT_WINDOW, BYTE_WINDOW, RULE_A, RULES, KeySet, SubstitutionTable, WindowPermutation
+from .formats import BIT_WINDOW, BYTE_WINDOW, RULE_A, RULES
+from .keymat import KeySet, SubstitutionTable, WindowPermutation
 from .keystream import RbsLoop, _shift_bits
 
 __all__ = [

@@ -16,7 +16,7 @@ from ire.envelope import (
     encode_envelope,
 )
 from ire.errors import EnvelopeFormatError, KeyFormatError
-from ire.keymat import RULE_A, RULE_B, generate_keyset, parse_keyset, serialize_keyset
+from ire.keymat import RULE_A, RULE_B, RULES, generate_keyset, parse_keyset, serialize_keyset
 
 
 def sample_envelope(payload=b"0123456789", pad_count=0, offset=6722, rule=RULE_B):
@@ -37,6 +37,8 @@ def test_byte_exact_image():
 
 def test_rule_a_flag_is_zero():
     assert encode_envelope(sample_envelope(rule=RULE_A))[5] == 0
+    for rule in RULES:  # the flag is the rule's index in RULES
+        assert encode_envelope(sample_envelope(rule=rule))[5] == RULES.index(rule)
 
 
 def test_minimum_envelope_is_33_bytes():
@@ -128,9 +130,10 @@ def test_decode_rejects_unknown_version():
 
 def test_decode_rejects_bad_rule_flag():
     blob = bytearray(encode_envelope(sample_envelope()))
-    blob[5] = 2
-    with pytest.raises(EnvelopeFormatError, match="rule flag"):
-        decode_envelope(bytes(blob))
+    for flag in range(2, 256):
+        blob[5] = flag
+        with pytest.raises(EnvelopeFormatError, match=f"invalid rule flag {flag:#04x}"):
+            decode_envelope(bytes(blob))
 
 
 def test_decode_rejects_oversize_pad_count():

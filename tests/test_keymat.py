@@ -172,6 +172,8 @@ def test_minimal_keyset_byte_exact_image():
 def test_rule_a_flag_byte():
     blob = serialize_keyset(identity_keyset(rule=RULE_A))
     assert blob[5] == 0
+    for rule in RULES:  # the flag is the rule's index in RULES
+        assert serialize_keyset(identity_keyset(rule=rule))[5] == RULES.index(rule)
 
 
 def test_key_file_size_for_large_loop(fixed_rng):
@@ -249,9 +251,10 @@ def test_parse_rejects_unknown_version():
 
 def test_parse_rejects_bad_rule_flag():
     blob = bytearray(serialize_keyset(identity_keyset()))
-    blob[5] = 7
-    with pytest.raises(KeyFormatError, match="rule flag"):
-        parse_keyset(bytes(blob))
+    for flag in range(2, 256):
+        blob[5] = flag
+        with pytest.raises(KeyFormatError, match=f"invalid rule flag {flag:#04x}"):
+            parse_keyset(bytes(blob))
 
 
 def test_parse_rejects_duplicate_table_entry():
